@@ -38,6 +38,7 @@ from .errors import (
     GenericityError,
     InternalError,
     NoPointsFound,
+    RangeError,
     UsageError,
 )
 from .fields import GF, QQ, Field, is_prime
@@ -205,6 +206,8 @@ def cmd_project(args) -> dict:
 def cmd_sample(args) -> dict:
     field = _field_from_args(args)
     _require_seed_or_input(args)
+    if args.trials < 1:
+        raise RangeError(f"--trials must be at least 1, got {args.trials}")
     pm = _input_or_seeded_skew(args, field)
     n = pm.nrows
     count = args.trials

@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .apolarity import (
-    catalecticant_rank,
-    dual_socle_generator,
-    hilbert_function,
-    perp_slice,
-)
+from .apolarity import dual_socle_generator, hilbert_function, perp_slice
 from .errors import (
     AlphabetMismatch,
     DegenerateForm,
@@ -83,12 +78,22 @@ def _require_char(field: Field, k: int) -> None:
 
 
 def _build_certificate(
-    form: HomogPoly, span: GradedSlice, n: int, direction: str
+    form: HomogPoly,
+    span: GradedSlice,
+    n: int,
+    direction: str,
+    ann: GradedSlice | None = None,
 ) -> Certificate:
+    """Check the correspondence identities of ``form`` and ``span``.
+
+    ``ann`` is the degree (n-1)/2 annihilator of ``form``, when the
+    caller has computed it already.
+    """
     k = n - 3
     gen_deg = (n - 1) // 2
     h = hilbert_function(form)
-    ann = perp_slice(form, gen_deg)
+    if ann is None:
+        ann = perp_slice(form, gen_deg)
     checks = {
         "annihilator_dim": ann.dim == n,
         "generators_match_annihilator": slices_equal(ann, span),
@@ -101,7 +106,8 @@ def _build_certificate(
         n=n,
         direction=direction,
         hilbert=h,
-        cat_rank=catalecticant_rank(form),
+        # the middle catalecticant rank is the Hilbert function at k/2
+        cat_rank=h[k // 2],
         ideal_slice=ann,
         checks=checks,
     )
@@ -274,7 +280,7 @@ def form_to_matrix(form: HomogPoly) -> tuple[PolyMatrix, Certificate]:
         raise SkewNormalizationFailure(
             "sub-Pfaffians of the normalized pencil do not span the annihilator"
         )
-    cert = _build_certificate(form, span, n, "form-to-matrix")
+    cert = _build_certificate(form, span, n, "form-to-matrix", ann)
     if not cert.ok:
         raise DegenerateForm(
             "form fails correspondence checks: " + ", ".join(cert.failed())

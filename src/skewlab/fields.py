@@ -13,12 +13,22 @@ from typing import Any
 
 from .errors import FormatError, RangeError
 
-#: Witness bases making Miller-Rabin deterministic for n < 3.3e24.
+#: Witness bases making Miller-Rabin deterministic for n < _MR_LIMIT.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+#: The least strong pseudoprime to every base in ``_MR_BASES`` (about 3.3e24).
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin primality test.
+
+    Exact below ``_MR_LIMIT``; larger ``n`` raise ``RangeError``, since
+    the test could pass a composite there and the package would compute
+    over a ring that is not a field.
+    """
+    if n >= _MR_LIMIT:
+        raise RangeError(f"moduli of {_MR_LIMIT} or more are not supported, got {n}")
     if n < 2:
         return False
     for q in _MR_BASES:

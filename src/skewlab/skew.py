@@ -3,14 +3,21 @@
 A square skew matrix N with entries linear in y0..y(m-1) and an n x m
 pencil M with entries linear in x0..x(n-1) are two slices of one tensor
 (a^k_{i,j}); ``tensor_flip`` and ``tensor_unflip`` convert between them.
-Pfaffians use first-row expansion memoized over index subsets, which is
-exact over any ring and adequate through order 13.
+Scalar Pfaffians come from skew elimination in O(n^3), fraction-free on
+integers.  Polynomial Pfaffians and sub-Pfaffians are evaluated at the
+points of the principal lattice (y0 = 1, the other coordinates
+non-negative integers of sum at most the degree) and interpolated by
+Newton forward differences.  Over QQ the pencil's denominators are
+cleared first; over F_p with p at most the degree the entries are lifted
+to integers and the exact result is reduced mod p.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from math import factorial, lcm, prod
+from typing import Sequence
 
 from .errors import (
     AlphabetMismatch,
@@ -22,8 +29,8 @@ from .errors import (
     UsageError,
 )
 from .fields import Field
-from .linalg import Matrix
-from .rings import Alphabet, HomogPoly, format_poly, parse_poly
+from .linalg import Matrix, kernel_basis
+from .rings import Alphabet, HomogPoly, format_poly, mono_index, monomials, parse_poly
 
 
 class PolyMatrix:
@@ -95,61 +102,209 @@ def skew_linear(entries: Sequence[Sequence[HomogPoly]] | PolyMatrix) -> PolyMatr
 # -- pfaffian core --------------------------------------------------------
 
 
-def _pfaffian_subsets(
-    entry: Callable[[int, int], object],
-    is_zero: Callable[[object], bool],
-    add,
-    mul,
-    neg,
-    one,
-    zero_for: Callable[[int], object],
-):
-    """Memoized Pfaffian over sorted index tuples via first-row expansion.
+def _pfaffian(a: list[list[int]], p: int | None) -> int:
+    """Pfaffian of an even-order skew matrix of ints, exact or mod ``p``.
 
-    ``zero_for(k)`` builds the zero value for a Pfaffian of ``k`` pairs
-    (needed to grade polynomial zeros correctly).
+    Skew elimination, one 2 x 2 block per step.  With pivot ``E[0][1]``,
+    rows ``u = E[0]`` and ``w = E[1]`` and the previous pivot ``prev``
+    (1 at the start), the remaining block becomes
+
+        E'[i][j] = (E[0][1] * E[i][j] + w_i u_j - u_i w_j) / prev.
+
+    Every entry of every E is, up to sign, the Pfaffian of a principal
+    submatrix of the input, so on integers the division is exact and the
+    loop is fraction-free; mod ``p`` it is a multiplication by an inverse.
+    The Pfaffian is the last pivot, signed by the index swaps; a zero
+    first row makes it 0.  The rows of ``a`` are consumed.
     """
-    memo: dict[tuple[int, ...], object] = {(): one}
+    sign = 1
+    prev = 1
+    while a:
+        u = a[0]
+        j = next((j for j in range(1, len(u)) if u[j]), None)
+        if j is None:
+            return 0
+        if j != 1:
+            a[1], a[j] = a[j], a[1]
+            for row in a:
+                row[1], row[j] = row[j], row[1]
+            sign = -sign
+        piv = u[1]
+        u2, w2 = u[2:], a[1][2:]
+        if p is None:
+            a = [
+                [(piv * x + wi * uj - ui * wj) // prev for x, uj, wj in zip(row[2:], u2, w2)]
+                for row, ui, wi in zip(a[2:], u2, w2)
+            ]
+        else:
+            inv = pow(prev, -1, p)
+            a = [
+                [(piv * x + wi * uj - ui * wj) * inv % p for x, uj, wj in zip(row[2:], u2, w2)]
+                for row, ui, wi in zip(a[2:], u2, w2)
+            ]
+        prev = piv
+    return sign * prev if p is None else sign * prev % p
 
-    def pf(idx: tuple[int, ...]):
-        try:
-            return memo[idx]
-        except KeyError:
-            pass
-        i0 = idx[0]
-        rest = idx[1:]
-        acc = None
-        positive = True
-        for t, j in enumerate(rest):
-            e = entry(i0, j)
-            if not is_zero(e):
-                term = mul(e, pf(rest[:t] + rest[t + 1 :]))
-                if not positive:
-                    term = neg(term)
-                acc = term if acc is None else add(acc, term)
-            positive = not positive
-        if acc is None:
-            acc = zero_for(len(idx) // 2)
-        memo[idx] = acc
-        return acc
 
-    return pf
+def _minor(a: list[list[int]], i: int) -> list[list[int]]:
+    """``a`` without row and column ``i`` (a new matrix)."""
+    return [row[:i] + row[i + 1 :] for k, row in enumerate(a) if k != i]
 
 
-def _poly_pf(pm: PolyMatrix):
+def _signed_sub_pfaffians_at(a: list[list[int]], p: int | None, field: Field) -> list[int]:
+    """``s_i = (-1)^i pf(a without row and column i)`` for odd-order ``a``.
+
+    Mod ``p`` this uses the corank-1 identity: ``a s = 0``, so when the
+    kernel is a line spanned by ``v``, ``s = (s_f / v_f) v`` for any
+    ``f`` with ``v_f != 0``, and one scalar Pfaffian gives all of ``s``;
+    when the corank is 3 or more every ``s_i`` is 0.  On integers it
+    takes the n scalar Pfaffians, which need no division.
+    """
+    n = len(a)
+    if p is None:
+        return [(-1) ** i * _pfaffian(_minor(a, i), None) for i in range(n)]
+    ker = kernel_basis(Matrix(field, a, n))
+    if ker.ncols > 1:
+        return [0] * n
+    v = ker.column(0)
+    f = next(i for i, x in enumerate(v) if x)
+    scale = (-1) ** f * _pfaffian(_minor(a, f), p) * pow(v[f], -1, p)
+    return [scale * x % p for x in v]
+
+
+def _lattice_lines(nvars: int, deg: int) -> list[list[list[int]]]:
+    """Lines of the principal lattice, per direction, as coefficient indices.
+
+    The lattice point ``(1, e1, .., e(nvars-1))`` with ``e1 + .. <= deg``
+    is stored at the grlex index of ``y0^(deg - |e|) y1^e1 ..``.  A line
+    in direction ``t`` starts where ``e_t = 0`` and steps ``e_t`` up.
+    """
+    idx = mono_index(nvars, deg)
+    out = []
+    for t in range(1, nvars):
+        lines = []
+        for expo in monomials(nvars, deg):
+            if expo[t]:
+                continue
+            e = list(expo)
+            line = []
+            for _ in range(expo[0] + 1):
+                line.append(idx[tuple(e)])
+                e[0] -= 1
+                e[t] += 1
+            lines.append(line)
+        out.append(lines)
+    return out
+
+
+def _binomial_to_monomial(deg: int) -> list[list[int]]:
+    """``rows[i][k]``: coefficient of ``x^k`` in ``deg! * binom(x, i)``."""
+    rows = []
+    falling = [1]  # x (x - 1) .. (x - i + 1), by ascending power
+    for i in range(deg + 1):
+        if i:
+            falling = [
+                (falling[k - 1] if k else 0) - (i - 1) * (falling[k] if k < i else 0)
+                for k in range(i + 1)
+            ]
+        rows.append([c * (factorial(deg) // factorial(i)) for c in falling])
+    return rows
+
+
+def _interpolate(values: list[list[int]], nvars: int, deg: int, p: int | None) -> None:
+    """Lattice values to ``deg!^(nvars-1)`` times monomial coefficients, in place.
+
+    ``values[i]`` holds the values of some forms of degree ``deg`` at the
+    lattice point of monomial ``i``.  Forward differences along every
+    direction give the Newton coefficients ``Delta^e f(0)`` of
+    ``f = sum_e Delta^e f(0) prod_t binom(x_t, e_t)``; expanding each
+    binomial in monomials then gives the coefficients.  Both passes run
+    along lattice lines, so they stay inside the lattice.
+    """
+    lines = _lattice_lines(nvars, deg)
+    for per_direction in lines:
+        for line in per_direction:
+            for k in range(1, len(line)):
+                for i in range(len(line) - 1, k - 1, -1):
+                    hi, lo = values[line[i]], values[line[i - 1]]
+                    values[line[i]] = [x - y for x, y in zip(hi, lo)]
+    expand = _binomial_to_monomial(deg)
+    for per_direction in lines:
+        for line in per_direction:
+            for k in range(len(line)):
+                acc = [0] * len(values[line[k]])
+                for i in range(k, len(line)):
+                    c = expand[i][k]
+                    if c:
+                        acc = [s + c * x for s, x in zip(acc, values[line[i]])]
+                values[line[k]] = acc if p is None else [s % p for s in acc]
+
+
+def _lattice_forms(pm: PolyMatrix, half: int, at_point) -> list[HomogPoly]:
+    """Forms of degree ``half * pm.degree`` from their lattice values.
+
+    ``at_point(a, p)`` maps the integer matrix of ``pm`` at a lattice
+    point to the vector of values there, exact (``p`` None) or mod ``p``;
+    each value must be a Pfaffian of order ``2 * half``.  Mod a prime
+    ``p > deg`` the lattice and the Newton divisions live in F_p.  Over
+    QQ the pencil is scaled by its common denominator ``L`` so that every
+    value is an integer, and each output coefficient is divided once, by
+    ``deg!^(nvars-1) L^half``.  Mod a prime ``p <= deg`` the entries are
+    lifted to integers, the integer path runs, and the exact integer
+    coefficients are reduced mod ``p``: the Pfaffian is an integer
+    polynomial in the entries.
+    """
     field = pm.field
-    alphabet = pm.alphabet
-    entry_degree = pm.degree
-    one = HomogPoly(alphabet, 0, field, [field.one])
-    return _pfaffian_subsets(
-        lambda i, j: pm.entries[i][j],
-        lambda q: q.is_zero(),
-        lambda a, b: a + b,
-        lambda a, b: a * b,
-        lambda a: -a,
-        one,
-        lambda k: HomogPoly.zero(alphabet, entry_degree * k, field),
-    )
+    nvars = pm.alphabet.nvars
+    deg = pm.degree * half
+    p = field.p
+    if p is None:
+        scale = lcm(*(c.denominator for row in pm.entries for q in row for c in q.coeffs))
+        lift = lambda c: c.numerator * (scale // c.denominator)
+    else:
+        scale = 1
+        lift = lambda c: c
+    mod = p if p is not None and p > deg else None
+    # the pencil as sum_k m_k(y) A_k over the monomials m_k of the entry
+    # degree; each A_k is built from the upper triangle, so that a lift
+    # from F_p is skew over the integers
+    n = pm.nrows
+    entry_monos = monomials(nvars, pm.degree)
+    layers = []
+    for k in range(len(entry_monos)):
+        layer = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                c = lift(pm.entries[i][j].coeffs[k])
+                layer[i][j] = c
+                layer[j][i] = -c
+        layers.append(layer)
+    values = []
+    for expo in monomials(nvars, deg):
+        point = (1,) + expo[1:]
+        weights = [prod(x**e for x, e in zip(point, m)) for m in entry_monos]
+        a = []
+        for i in range(n):
+            row = [0] * n
+            for c, layer in zip(weights, layers):
+                if c:
+                    row = [s + c * x for s, x in zip(row, layer[i])]
+            a.append(row if mod is None else [s % mod for s in row])
+        values.append(at_point(a, mod))
+    _interpolate(values, nvars, deg, mod)
+    denom = factorial(deg) ** (nvars - 1)
+    if mod is not None:
+        inv = pow(denom, -1, mod)
+        coeff = lambda v: v * inv % mod
+    elif p is None:
+        denom *= scale**half
+        coeff = lambda v: Fraction(v, denom)
+    else:
+        coeff = lambda v: v // denom % p
+    return [
+        HomogPoly(pm.alphabet, deg, field, [coeff(vec[c]) for vec in values])
+        for c in range(len(values[0]))
+    ]
 
 
 def pfaffian_poly(pm: PolyMatrix, check: bool = True) -> HomogPoly:
@@ -164,7 +319,8 @@ def pfaffian_poly(pm: PolyMatrix, check: bool = True) -> HomogPoly:
         raise OddOrder("pfaffian needs even order")
     if check and not is_skew_matrix(pm):
         raise NotSkew("pfaffian of a non-skew matrix")
-    return _poly_pf(pm)(tuple(range(pm.nrows)))
+    (pf,) = _lattice_forms(pm, pm.nrows // 2, lambda a, p: [_pfaffian(a, p)])
+    return pf
 
 
 def pfaffian_scalar(mat: Matrix, check: bool = True):
@@ -181,25 +337,11 @@ def pfaffian_scalar(mat: Matrix, check: bool = True):
             for j in range(i + 1, mat.ncols):
                 if mat.rows[i][j] != field.neg(mat.rows[j][i]):
                     raise NotSkew("matrix is not skew-symmetric")
-    p = field.p
-    if p is None:
-        add = lambda a, b: a + b
-        mul = lambda a, b: a * b
-        neg = lambda a: -a
-    else:
-        add = lambda a, b: (a + b) % p
-        mul = lambda a, b: (a * b) % p
-        neg = lambda a: (-a) % p
-    pf = _pfaffian_subsets(
-        lambda i, j: mat.rows[i][j],
-        lambda e: e == 0,
-        add,
-        mul,
-        neg,
-        field.one,
-        lambda k: field.zero,
-    )
-    return pf(tuple(range(mat.nrows)))
+    if field.p is not None:
+        return _pfaffian([row[:] for row in mat.rows], field.p)
+    scale = lcm(*(c.denominator for row in mat.rows for c in row))
+    ints = [[c.numerator * (scale // c.denominator) for c in row] for row in mat.rows]
+    return Fraction(_pfaffian(ints, None), scale ** (mat.nrows // 2))
 
 
 def sub_pfaffians(
@@ -218,14 +360,14 @@ def sub_pfaffians(
         raise EvenOrder("sub-Pfaffian vector needs odd order")
     if check and not is_skew_matrix(pm):
         raise NotSkew("sub-Pfaffians of a non-skew matrix")
-    n = pm.nrows
-    pf = _poly_pf(pm)
-    pfs = []
-    for i in range(n):
-        idx = tuple(j for j in range(n) if j != i)
-        pfs.append(pf(idx))
-    signed = tuple(q if i % 2 == 0 else -q for i, q in enumerate(pfs))
-    return tuple(pfs), signed
+    field = pm.field
+    signed = tuple(
+        _lattice_forms(
+            pm, pm.nrows // 2, lambda a, p: _signed_sub_pfaffians_at(a, p, field)
+        )
+    )
+    pfs = tuple(q if i % 2 == 0 else -q for i, q in enumerate(signed))
+    return pfs, signed
 
 
 # -- tensor flip ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line behavior: schemas, determinism, exit codes, file round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -158,3 +159,45 @@ def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "dimension_ledger", boom)
     assert main(["ledger", "--m", "3", "--n", "7"]) == 4
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # odd order, sub-Pfaffians of degree 6 >= p
+        (
+            ("sample", "--m", "3", "--n", "13", "--p", "5", "--seed", "1", "--trials", "3"),
+            "83adde728c3be5fa4aedcb5384389fea508a8c5745b4448cd4961d284b72aebb",
+        ),
+        # even order, a Pfaffian of degree 4 >= p
+        (
+            ("sample", "--m", "3", "--n", "8", "--p", "3", "--seed", "1", "--trials", "2"),
+            "71414c9b96471aef77361a4d11067e8ab9bf61f722f18ba97af863189914ef50",
+        ),
+    ],
+)
+def test_small_prime_sampling_output_is_pinned(tmp_path, argv, digest):
+    # the digests were recorded with the subset-memo Pfaffians
+    code, raw = run(tmp_path, *argv)
+    assert code == 0
+    assert json.loads(raw)["all_ok"] is True
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def test_modulus_beyond_primality_range_exits_two(tmp_path, capsys):
+    code, raw = run(
+        tmp_path,
+        "correspond", "from-matrix", "--n", "5", "--seed", "1",
+        "--p", "3317044064679887385961981",
+    )
+    assert code == 2 and raw == b""
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_trials_below_one_exit_two(tmp_path, capsys):
+    for trials in ("-3", "0"):
+        code, raw = run(
+            tmp_path, "sample", "--m", "3", "--n", "9", "--trials", trials, "--seed", "1"
+        )
+        assert code == 2 and raw == b""
+    assert "--trials must be at least 1" in capsys.readouterr().err

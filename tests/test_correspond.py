@@ -29,6 +29,8 @@ from skewlab.randomness import (
     random_nondegenerate_dual_form,
     random_skew_linear,
 )
+from skewlab.apolarity import catalecticant_rank, perp_slice
+from skewlab.correspond import _build_certificate
 from skewlab.skew import skew_linear
 
 
@@ -59,6 +61,20 @@ def test_matrix_to_form_produces_checked_certificate():
     }
     assert cert.ideal_slice.dim == 5
     assert hilbert_function(form) == (1, 3, 1)
+
+
+def test_certificate_reuses_hilbert_function_and_can_fail():
+    pm = seeded_pencil(9, GF(32003), 4)
+    form, cert = matrix_to_form(pm)
+    assert cert.cat_rank == catalecticant_rank(form) == 10
+    assert cert.ideal_slice == perp_slice(form, 4)
+    # a span other than the annihilator fails its check
+    wrong = GradedSlice.from_polys(cert.ideal_slice.basis_polys()[:-1])
+    bad = _build_certificate(form, wrong, 9, "matrix-to-form")
+    assert bad.failed() == ["generators_match_annihilator"]
+    # an annihilator handed in is used as is, and checked
+    bad = _build_certificate(form, wrong, 9, "form-to-matrix", wrong)
+    assert bad.failed() == ["annihilator_dim"]
 
 
 def test_roundtrip_matrix_form_matrix():

@@ -12,6 +12,7 @@ from skewlab import (
     QQ,
     IncrementalSpan,
     Matrix,
+    RangeError,
     SingularMatrix,
     SplitMix64,
     UsageError,
@@ -54,6 +55,17 @@ def test_is_prime_spot_values():
 def test_gf_rejects_composite():
     with pytest.raises(UsageError):
         GF(15)
+
+
+def test_moduli_beyond_the_deterministic_range_are_rejected():
+    # the least strong pseudoprime to the twelve Miller-Rabin bases
+    pseudoprime = 3317044064679887385961981
+    assert is_prime(pseudoprime - 2) is False
+    with pytest.raises(RangeError):
+        is_prime(pseudoprime)
+    with pytest.raises(RangeError):
+        GF(pseudoprime)
+    assert is_prime(2**61 - 1)
 
 
 def test_gf_arithmetic():

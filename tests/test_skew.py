@@ -1,6 +1,7 @@
 """Skew pencils: Pfaffians, sub-Pfaffians, the tensor flip, minors, transport."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -71,19 +72,58 @@ def matchings(indices):
             yield ((first, second),) + tail
 
 
-def pfaffian_by_matchings(mat):
-    """Sum over perfect matchings with permutation sign: the definition."""
-    field = mat.field
-    n = mat.nrows
-    total = field.zero
-    for match in matchings(tuple(range(n))):
+def pfaffian_by_matchings(rows, one):
+    """Sum over perfect matchings with permutation sign: the definition.
+
+    ``rows`` is a square skew array of ``HomogPoly`` or of scalars, and
+    ``one`` the unit of their ring; F_p scalars give an integer to be
+    reduced mod p.
+    """
+    total = None
+    for match in matchings(tuple(range(len(rows)))):
         flat = [v for pair in match for v in pair]
-        term = field.one
+        term = one
         for i, j in match:
-            term = field.mul(term, mat.rows[i][j])
-        signed = term if perm_sign(flat) == 1 else field.neg(term)
-        total = field.add(total, signed)
+            term = term * rows[i][j]
+        signed = term if perm_sign(flat) == 1 else -term
+        total = signed if total is None else total + signed
     return total
+
+
+def sub_pfaffians_by_matchings(pm):
+    """``pf[i]``: the matching sum of ``pm`` without row and column ``i``."""
+    one = HomogPoly(pm.alphabet, 0, pm.field, [pm.field.one])
+    n = pm.nrows
+    return tuple(
+        pfaffian_by_matchings(
+            [[pm.entries[r][c] for c in range(n) if c != i] for r in range(n) if r != i],
+            one,
+        )
+        for i in range(n)
+    )
+
+
+def pencil_with_denominators(n, rng):
+    """Random QQ skew pencil whose entries have denominators 1 to 4."""
+    pm = skew_linear(random_skew_linear(n, 3, QQ, rng))
+    grid = [list(row) for row in pm.entries]
+    for i in range(n):
+        for j in range(i + 1, n):
+            grid[i][j] = grid[i][j].scale(Fraction(1, 1 + (i + 2 * j) % 4))
+            grid[j][i] = -grid[i][j]
+    return skew_linear(grid)
+
+
+def pencil_with_zeros(n, field, rng, is_zero):
+    """Random skew pencil whose entry (i, j) is zero where ``is_zero(i, j)``."""
+    pm = skew_linear(random_skew_linear(n, 3, field, rng))
+    zero = HomogPoly.zero(pm.alphabet, 1, field)
+    return skew_linear(
+        [
+            [zero if is_zero(i, j) else pm.entries[i][j] for j in range(n)]
+            for i in range(n)
+        ]
+    )
 
 
 def ylin(text):
@@ -119,7 +159,37 @@ def test_pfaffian_matches_matching_sum():
         for n in (2, 4, 6):
             for _ in range(3):
                 mat = random_scalar_skew(n, field, rng)
-                assert pfaffian_scalar(mat) == pfaffian_by_matchings(mat)
+                expected = pfaffian_by_matchings(mat.rows, field.one)
+                if field.p is not None:
+                    expected %= field.p
+                assert pfaffian_scalar(mat) == expected
+
+
+def test_pfaffian_scalar_clears_denominators():
+    mat = Matrix(
+        QQ,
+        [
+            [0, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)],
+            [Fraction(-1, 2), 0, Fraction(3, 4), 1],
+            [Fraction(2, 3), Fraction(-3, 4), 0, Fraction(-1, 6)],
+            [Fraction(-5, 7), -1, Fraction(1, 6), 0],
+        ],
+    )
+    assert pfaffian_scalar(mat) == pfaffian_by_matchings(mat.rows, Fraction(1))
+    assert pfaffian_scalar(Matrix(QQ, [], 0)) == 1
+
+
+def test_pfaffian_poly_matches_matching_sum():
+    rng = SplitMix64(313)
+    cases = [(QQ, n) for n in (2, 4, 6)] + [(GF(32003), n) for n in (2, 4, 6, 8)]
+    cases.append((GF(3), 8))  # degree 4 > p - 1: the integer lift
+    for field, n in cases:
+        if field.p is None:
+            pm = pencil_with_denominators(n, rng)
+        else:
+            pm = skew_linear(random_skew_linear(n, 3, field, rng))
+        one = HomogPoly(pm.alphabet, 0, field, [field.one])
+        assert pfaffian_poly(pm) == pfaffian_by_matchings(pm.entries, one)
 
 
 def test_pfaffian_squares_to_determinant_scalar():
@@ -172,6 +242,61 @@ def test_signed_vector_is_in_the_kernel():
         pm = skew_linear(random_skew_linear(n, 3, GF(32003), rng))
         _, signed = sub_pfaffians(pm)
         assert all(p.is_zero() for p in mat_vec_poly(pm, signed))
+
+
+def test_sub_pfaffians_match_matching_sums():
+    rng = SplitMix64(314)
+    cases = [(field, n) for field in (QQ, GF(32003)) for n in (1, 3, 5, 7, 9)]
+    cases.append((GF(5), 11))  # degree 5 >= p: the integer lift
+    for field, n in cases:
+        if field.p is None:
+            pm = pencil_with_denominators(n, rng)
+        else:
+            pm = skew_linear(random_skew_linear(n, 3, field, rng))
+        pfs, signed = sub_pfaffians(pm)
+        assert pfs == sub_pfaffians_by_matchings(pm)
+        assert signed == tuple(q if i % 2 == 0 else -q for i, q in enumerate(pfs))
+
+
+def test_degenerate_pencils_match_matching_sums():
+    rng = SplitMix64(315)
+    for field in (QQ, GF(32003), GF(5)):
+        for n in (5, 7):
+            zero = HomogPoly.zero(y_vars(), 1, field)
+            # the zero pencil, then two zero rows: corank 3 or more everywhere
+            for pm in (
+                skew_linear([[zero] * n for _ in range(n)]),
+                pencil_with_zeros(n, field, rng, lambda i, j: {i, j} & {1, 3}),
+            ):
+                pfs, _ = sub_pfaffians(pm)
+                assert pfs == sub_pfaffians_by_matchings(pm)
+                assert all(q.is_zero() and q.degree == (n - 1) // 2 for q in pfs)
+            # row 1 lives in column 0 only, so pf[0] vanishes and the
+            # kernel vectors start at an odd coordinate
+            pm = pencil_with_zeros(n, field, rng, lambda i, j: 1 in (i, j) and 0 not in (i, j))
+            pfs, _ = sub_pfaffians(pm)
+            assert pfs == sub_pfaffians_by_matchings(pm)
+            assert pfs[0].is_zero() and not pfs[1].is_zero()
+        one = HomogPoly(y_vars(), 0, field, [field.one])
+        for pm in (
+            skew_linear([[zero] * 6 for _ in range(6)]),
+            pencil_with_zeros(6, field, rng, lambda i, j: 2 in (i, j)),
+        ):
+            pf = pfaffian_poly(pm)
+            assert pf == pfaffian_by_matchings(pm.entries, one)
+            assert pf.is_zero() and pf.degree == 3
+
+
+def test_sub_pfaffians_growth_budget():
+    # the subset memo took about 9 s here; elimination and interpolation
+    # are polynomial in n
+    pm = skew_linear(random_skew_linear(19, 3, GF(32003), SplitMix64(316)))
+    start = time.monotonic()
+    _, signed = sub_pfaffians(pm, check=False)
+    elapsed = time.monotonic() - start
+    assert elapsed < 2, f"sub_pfaffians at n = 19 took {elapsed:.2f}s"
+    assert all(q.degree == 9 for q in signed)
+    assert all(p.is_zero() for p in mat_vec_poly(pm, signed))
 
 
 def test_sub_pfaffians_need_odd_order():
