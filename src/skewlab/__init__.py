@@ -31,10 +31,8 @@ from .errors import (
 )
 from .fields import GF, QQ, Field, is_prime
 from .linalg import (
-    IncrementalSpan,
     Matrix,
     column_space_canonical,
-    complement_basis,
     det,
     inverse,
     kernel_basis,
@@ -77,7 +75,6 @@ from .randomness import (
     describe,
     random_form,
     random_nondegenerate_dual_form,
-    random_nonzero_form,
     random_point,
     random_scalar_skew,
     random_skew_linear,
@@ -85,11 +82,9 @@ from .randomness import (
 from .skew import (
     PolyMatrix,
     congruence,
-    det_poly,
     evaluate_matrix,
     is_skew_matrix,
     mat_vec_poly,
-    maximal_minors,
     pfaffian_poly,
     pfaffian_scalar,
     poly_matrix_from_json,

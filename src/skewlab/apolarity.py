@@ -5,9 +5,14 @@ The base alphabet acts on its dual (and conversely) by the rule
     y^a (d^b) = a! * binom(b, a) * d^(b-a)   when b >= a, else 0,
 
 with multi-index factorials and binomials; the scaling equals the true
-partial-derivative coefficient prod_i b_i!/(b_i - a_i)!. Over F_p this
-keeps the exact integer scaling reduced mod p, so workflows that rely on
-invertible factorials must check ``field.char_exceeds(degree)`` first.
+partial-derivative coefficient prod_i b_i!/(b_i - a_i)!.  Every action
+here is filled from one walk, ``_contractions``, over the pairs of an
+operator monomial a and a result monomial g, with b = a + g:
+``differentiate``, ``pairing_matrix`` (and through it ``perp_slice``,
+``partials_slice`` and the Hilbert function) and each generator block of
+``dual_socle_generator``.  Over F_p the exact integer scaling is reduced
+mod p and pairs whose scale vanishes are skipped, so workflows that rely
+on invertible factorials must check ``field.char_exceeds(degree)`` first.
 """
 
 from __future__ import annotations
@@ -41,6 +46,27 @@ def _action_scale(b: tuple[int, ...], a: tuple[int, ...]) -> int:
     return out
 
 
+def _contractions(nvars: int, op_degree: int, out_deg: int, p: int | None):
+    """Every nonzero action of an operator monomial on a form monomial.
+
+    Walks each operator monomial a of degree ``op_degree`` and each
+    result monomial g of degree ``out_deg``, sets b = a + g, and yields
+    ``(j, i, l, scale)``: the indices of a, g and b in their grlex bases
+    and the scale b!/g! with which y^a sends d^b to d^g, reduced mod
+    ``p``.  Pairs whose scale vanishes mod ``p`` are skipped.
+    """
+    b_idx = mono_index(nvars, op_degree + out_deg)
+    gammas = monomials(nvars, out_deg)
+    for j, a in enumerate(monomials(nvars, op_degree)):
+        for i, g in enumerate(gammas):
+            b = tuple(x + y for x, y in zip(a, g))
+            scale = _action_scale(b, a)
+            if p is not None:
+                scale %= p
+            if scale:
+                yield j, i, b_idx[b], scale
+
+
 def differentiate(op: HomogPoly, target: HomogPoly) -> HomogPoly:
     """Apply ``op`` (in the dual alphabet of ``target``) to ``target``.
 
@@ -58,19 +84,10 @@ def differentiate(op: HomogPoly, target: HomogPoly) -> HomogPoly:
     out_deg = target.degree - op.degree
     nvars = target.alphabet.nvars
     out = [field.zero] * dim_homog(nvars, out_deg)
-    idx = mono_index(nvars, out_deg)
-    p = field.p
-    for c_op, a in op.terms():
-        for c_t, b in target.terms():
-            if all(bi >= ai for bi, ai in zip(b, a)):
-                scale = _action_scale(b, a)
-                if p is not None:
-                    scale %= p
-                if scale == 0:
-                    continue
-                i = idx[tuple(bi - ai for bi, ai in zip(b, a))]
-                v = c_op * c_t * scale
-                out[i] = (out[i] + v) if p is None else (out[i] + v) % p
+    oc, tc = op.coeffs, target.coeffs
+    for j, i, l, scale in _contractions(nvars, op.degree, out_deg, field.p):
+        if oc[j] and tc[l]:
+            out[i] = field.add(out[i], field.mul(oc[j] * tc[l], scale))
     return HomogPoly(target.alphabet, out_deg, field, out)
 
 
@@ -87,27 +104,14 @@ def pairing_matrix(target: HomogPoly, op_degree: int) -> Matrix:
     """
     field = target.field
     nvars = target.alphabet.nvars
-    k = target.degree
-    out_deg = k - op_degree
-    n_rows = dim_homog(nvars, out_deg)
-    ops = monomials(nvars, op_degree)
-    mat = [[field.zero] * len(ops) for _ in range(n_rows)]
-    if out_deg < 0:
-        return Matrix(field, mat or [], len(ops))
-    idx = mono_index(nvars, out_deg)
-    p = field.p
-    for j, a in enumerate(ops):
-        for c, b in target.terms():
-            if all(bi >= ai for bi, ai in zip(b, a)):
-                scale = _action_scale(b, a)
-                if p is not None:
-                    scale %= p
-                if scale == 0:
-                    continue
-                i = idx[tuple(bi - ai for bi, ai in zip(b, a))]
-                v = c * scale
-                mat[i][j] = (mat[i][j] + v) if p is None else (mat[i][j] + v) % p
-    return Matrix(field, mat, len(ops))
+    out_deg = target.degree - op_degree
+    n_ops = dim_homog(nvars, op_degree)
+    mat = [[field.zero] * n_ops for _ in range(dim_homog(nvars, out_deg))]
+    coeffs = target.coeffs
+    for j, i, l, scale in _contractions(nvars, op_degree, out_deg, field.p):
+        if coeffs[l]:
+            mat[i][j] = field.mul(coeffs[l], scale)
+    return Matrix(field, mat, n_ops)
 
 
 def apolar_rank(target: HomogPoly, op_degree: int) -> int:
@@ -129,13 +133,18 @@ def perp_slice(target: HomogPoly, op_degree: int) -> GradedSlice:
 
 
 def partials_slice(target: HomogPoly, op_degree: int) -> GradedSlice:
-    """Span of all order-``op_degree`` derivatives of ``target``."""
+    """Span of all order-``op_degree`` derivatives of ``target``.
+
+    That is the column span of ``pairing_matrix``, whose columns are the
+    derivatives by the operator monomials.
+    """
     field = target.field
-    polys = []
-    for a in monomials(target.alphabet.nvars, op_degree):
-        op = HomogPoly.from_terms(target.alphabet.dual(), op_degree, field, [(field.one, a)])
-        polys.append(differentiate(op, target))
-    return GradedSlice.from_polys(polys)
+    if op_degree < 0:
+        raise UsageError("negative derivative order")
+    if op_degree > target.degree:
+        return GradedSlice.empty(target.alphabet, 0, field)
+    mat = pairing_matrix(target, op_degree)
+    return GradedSlice.from_matrix(target.alphabet, target.degree - op_degree, field, mat)
 
 
 def catalecticant_rank(target: HomogPoly) -> int:
@@ -177,28 +186,16 @@ def dual_socle_generator(gens: Sequence[HomogPoly], k: int) -> HomogPoly:
             raise AlphabetMismatch("generators must share alphabet and field")
     nvars = alphabet.nvars
     n_cols = dim_homog(nvars, k)
-    col_idx = mono_index(nvars, k)
     rows: list[list] = []
-    p = field.p
     for g in gens:
-        e = g.degree
-        if e > k:
+        if g.degree > k:
             continue
-        out_deg = k - e
-        out_idx = mono_index(nvars, out_deg)
+        out_deg = k - g.degree
         block = [[field.zero] * n_cols for _ in range(dim_homog(nvars, out_deg))]
-        for c, a in g.terms():
-            for gamma in monomials(nvars, out_deg):
-                b = tuple(gi + ai for gi, ai in zip(gamma, a))
-                scale = _action_scale(b, a)
-                if p is not None:
-                    scale %= p
-                if scale == 0:
-                    continue
-                v = c * scale
-                i = out_idx[gamma]
-                j = col_idx[b]
-                block[i][j] = (block[i][j] + v) if p is None else (block[i][j] + v) % p
+        coeffs = g.coeffs
+        for j, i, l, scale in _contractions(nvars, g.degree, out_deg, field.p):
+            if coeffs[j]:
+                block[i][l] = field.mul(coeffs[j], scale)
         rows.extend(block)
     ker = kernel_basis(Matrix(field, rows, n_cols))
     if ker.ncols != 1:

@@ -20,7 +20,6 @@ from typing import Sequence
 from .errors import AmbiguousChase, InternalError, RangeError
 
 TWISTS = ("plain", "u1", "omega2-u1")
-TABLE_KEYS = ("structure", "twist", "omega")
 
 
 def comb0(a: int, b: int) -> int:

@@ -57,10 +57,6 @@ class SingularMatrix(UsageError):
     """A matrix expected to be invertible is singular."""
 
 
-# Name used by the congruence-transport contract.
-SingularA = SingularMatrix
-
-
 class GenericityError(SkewlabError):
     """Degenerate or non-generic input; retry with different data."""
 

@@ -165,7 +165,10 @@ class Field:
         if obj["kind"] == "q":
             return QQ
         if obj["kind"] == "fp":
-            return Field(int(obj["p"]))
+            p = obj.get("p")
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise FormatError(f"field modulus must be an integer, got {p!r}")
+            return Field(p)
         raise FormatError(f"unknown field kind {obj['kind']!r}")
 
 

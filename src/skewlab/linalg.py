@@ -1,16 +1,20 @@
 """Exact dense linear algebra over QQ and F_p.
 
-Everything is deterministic: pivots are chosen as the first nonzero
-entry in scan order, reduced echelon forms are fully normalized, kernel
-bases put a unit at their own free coordinate. Matrices are dense lists
-of lists; sizes in this package stay small (a few hundred rows at most)
-so clarity wins over asymptotics, with the mod-p elimination loop kept
-tight because it dominates the correspondence workflows.
+Every row operation happens in one kernel, ``_rref_inplace``:
+Gauss-Jordan elimination that takes the first nonzero entry in scan
+order as pivot and returns the pivot columns together with the
+determinant factor.  ``rref``, ``rank``, ``kernel_basis``, ``solve``,
+``det``, ``inverse`` and ``column_space_canonical`` are thin wrappers
+over it.  Reduced echelon forms are fully normalized and kernel bases
+put a unit at their own free coordinate, so every result is canonical.
+Matrices are dense lists of lists.  The kernel's only field branch is
+its row update, one list comprehension per field, because the mod-p
+update dominates the correspondence workflows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DegreeMismatch, SingularMatrix, UsageError
 from .fields import Field
@@ -37,11 +41,6 @@ class Matrix:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
@@ -52,9 +51,6 @@ class Matrix:
         if any(len(c) != nrows for c in cols):
             raise UsageError("column length mismatch")
         return cls(field, [[c[i] for c in cols] for i in range(nrows)], len(cols))
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, [r[:] for r in self.rows], self.ncols)
 
     # -- access ----------------------------------------------------------
 
@@ -104,34 +100,6 @@ class Matrix:
             out.append(s if p is None else s % p)
         return out
 
-    def add(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        f = self.field
-        return Matrix(
-            f,
-            [[f.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        f = self.field
-        return Matrix(
-            f,
-            [[f.sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def neg(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.neg(a) for a in r] for r in self.rows], self.ncols)
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.field != other.field:
-            raise UsageError("field mismatch")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DegreeMismatch("shape mismatch")
-
     # -- comparison and serialization ---------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -158,82 +126,66 @@ class Matrix:
             "entries": [[f.scalar_to_json(a) for a in r] for r in self.rows],
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "Matrix":
-        f = Field.from_json(obj["field"])
-        rows = [[f.scalar_from_json(a) for a in r] for r in obj["entries"]]
-        return Matrix(f, rows, int(obj["cols"]))
-
 
 # -- elimination core ----------------------------------------------------
 
 
-def _rref_inplace(rows: list[list], field: Field) -> list[int]:
-    """Reduce ``rows`` to reduced row echelon form; return pivot columns."""
+def _rref_inplace(rows: list[list], field: Field) -> tuple[list[int], object]:
+    """Reduce ``rows`` to reduced row echelon form in place.
+
+    Returns the pivot columns and the determinant factor: the product of
+    the raw pivots, negated once per row swap.  For a square matrix of
+    full rank that factor is the determinant.
+    """
+    pivots: list[int] = []
+    factor = field.one
     m = len(rows)
     if m == 0:
-        return []
-    n = len(rows[0])
-    pivots: list[int] = []
-    r = 0
+        return pivots, factor
     p = field.p
-    if p is None:
-        for c in range(n):
-            pr = None
-            for i in range(r, m):
-                if rows[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                continue
+    mul = field.mul
+    r = 0
+    for c in range(len(rows[0])):
+        pr = None
+        for i in range(r, m):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-            inv = 1 / rows[r][c]
-            if inv != 1:
-                rows[r] = [x * inv for x in rows[r]]
-            prow = rows[r]
-            for i in range(m):
-                fac = rows[i][c]
-                if i != r and fac != 0:
+            factor = field.neg(factor)
+        piv = rows[r][c]
+        factor = mul(factor, piv)
+        inv = field.inv(piv)
+        if inv != 1:
+            rows[r] = [mul(x, inv) for x in rows[r]]
+        prow = rows[r]
+        for i in range(m):
+            fac = rows[i][c]
+            if i != r and fac:
+                if p is None:
                     rows[i] = [a - fac * b for a, b in zip(rows[i], prow)]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-    else:
-        for c in range(n):
-            pr = None
-            for i in range(r, m):
-                if rows[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            inv = pow(rows[r][c], -1, p)
-            if inv != 1:
-                rows[r] = [x * inv % p for x in rows[r]]
-            prow = rows[r]
-            for i in range(m):
-                fac = rows[i][c]
-                if i != r and fac:
+                else:
                     rows[i] = [(a - fac * b) % p for a, b in zip(rows[i], prow)]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-    return pivots
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots, factor
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
     rows = [r[:] for r in mat.rows]
-    pivots = _rref_inplace(rows, mat.field)
+    pivots, _ = _rref_inplace(rows, mat.field)
     return Matrix(mat.field, rows, mat.ncols), pivots
 
 
 def rank(mat: Matrix) -> int:
     rows = [r[:] for r in mat.rows]
-    return len(_rref_inplace(rows, mat.field))
+    return len(_rref_inplace(rows, mat.field)[0])
 
 
 def kernel_basis(mat: Matrix) -> Matrix:
@@ -244,7 +196,7 @@ def kernel_basis(mat: Matrix) -> Matrix:
     """
     field = mat.field
     rows = [r[:] for r in mat.rows]
-    pivots = _rref_inplace(rows, field)
+    pivots, _ = _rref_inplace(rows, field)
     pivot_set = set(pivots)
     free = [c for c in range(mat.ncols) if c not in pivot_set]
     cols = []
@@ -269,7 +221,7 @@ def solve(mat: Matrix, rhs: Sequence) -> list | None:
     rows = [r[:] + [b] for r, b in zip(mat.rows, rhs)]
     if mat.nrows == 0:
         return [field.zero] * mat.ncols
-    pivots = _rref_inplace(rows, field)
+    pivots, _ = _rref_inplace(rows, field)
     if pivots and pivots[-1] == mat.ncols:
         return None
     x = [field.zero] * mat.ncols
@@ -279,38 +231,11 @@ def solve(mat: Matrix, rhs: Sequence) -> list | None:
 
 
 def det(mat: Matrix):
-    """Determinant by fraction-normalizing Gaussian elimination."""
+    """Determinant: the elimination's determinant factor, or zero when singular."""
     if mat.nrows != mat.ncols:
         raise UsageError("determinant of a non-square matrix")
-    field = mat.field
-    n = mat.nrows
-    rows = [r[:] for r in mat.rows]
-    p = field.p
-    sign_flip = False
-    acc = field.one
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return field.zero
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign_flip = not sign_flip
-        piv = rows[c][c]
-        acc = field.mul(acc, piv)
-        inv = field.inv(piv)
-        prow = rows[c]
-        for i in range(c + 1, n):
-            fac = field.mul(rows[i][c], inv)
-            if fac != 0:
-                if p is None:
-                    rows[i] = [a - fac * b for a, b in zip(rows[i], prow)]
-                else:
-                    rows[i] = [(a - fac * b) % p for a, b in zip(rows[i], prow)]
-    return field.neg(acc) if sign_flip else acc
+    pivots, factor = _rref_inplace([r[:] for r in mat.rows], mat.field)
+    return factor if len(pivots) == mat.nrows else mat.field.zero
 
 
 def inverse(mat: Matrix) -> Matrix:
@@ -321,89 +246,10 @@ def inverse(mat: Matrix) -> Matrix:
     n = mat.nrows
     ident = Matrix.identity(field, n)
     rows = [r[:] + e[:] for r, e in zip(mat.rows, ident.rows)]
-    pivots = _rref_inplace(rows, field)
+    pivots, _ = _rref_inplace(rows, field)
     if len(pivots) < n or pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
     return Matrix(field, [r[n:] for r in rows], n)
-
-
-class IncrementalSpan:
-    """Row span kept in reduced echelon form; supports membership tests."""
-
-    def __init__(self, field: Field, ambient: int):
-        self.field = field
-        self.ambient = ambient
-        self.rows: list[list] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, vec: Sequence) -> list:
-        field = self.field
-        v = list(vec)
-        p = field.p
-        for row, pc in zip(self.rows, self.pivots):
-            fac = v[pc]
-            if fac != 0:
-                if p is None:
-                    v = [a - fac * b for a, b in zip(v, row)]
-                else:
-                    v = [(a - fac * b) % p for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec: Sequence) -> bool:
-        """Insert ``vec``; returns True when it enlarged the span."""
-        field = self.field
-        v = self.reduce(vec)
-        pc = next((i for i, a in enumerate(v) if a != 0), None)
-        if pc is None:
-            return False
-        inv = field.inv(v[pc])
-        if inv != 1:
-            if field.p is None:
-                v = [a * inv for a in v]
-            else:
-                v = [a * inv % field.p for a in v]
-        # keep earlier rows reduced against the new one
-        for i, row in enumerate(self.rows):
-            fac = row[pc]
-            if fac != 0:
-                if field.p is None:
-                    self.rows[i] = [a - fac * b for a, b in zip(row, v)]
-                else:
-                    self.rows[i] = [(a - fac * b) % field.p for a, b in zip(row, v)]
-        self.rows.append(v)
-        self.pivots.append(pc)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-
-def complement_basis(basis: Matrix) -> tuple[list[int], Matrix]:
-    """Greedy standard-basis complement of the column span of ``basis``.
-
-    Returns the chosen coordinate indices and the unit-vector columns.
-    Raises ``UsageError`` when the input columns are dependent.
-    """
-    field = basis.field
-    span = IncrementalSpan(field, basis.nrows)
-    for j in range(basis.ncols):
-        if not span.add(basis.column(j)):
-            raise UsageError("complement_basis: input columns are dependent")
-    chosen: list[int] = []
-    for i in range(basis.nrows):
-        if span.dim == basis.nrows:
-            break
-        e = [field.zero] * basis.nrows
-        e[i] = field.one
-        if span.add(e):
-            chosen.append(i)
-    cols = []
-    for i in chosen:
-        e = [field.zero] * basis.nrows
-        e[i] = field.one
-        cols.append(e)
-    return chosen, Matrix.from_columns(field, cols, basis.nrows)
 
 
 def column_space_canonical(mat: Matrix) -> Matrix:
@@ -413,15 +259,6 @@ def column_space_canonical(mat: Matrix) -> Matrix:
     column spans.
     """
     rows = [mat.column(j) for j in range(mat.ncols)]
-    pivots = _rref_inplace(rows, mat.field)
+    pivots, _ = _rref_inplace(rows, mat.field)
     return Matrix.from_columns(mat.field, rows[: len(pivots)], mat.nrows)
 
-
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.field != b.field or a.nrows != b.nrows:
-        raise UsageError("hstack shape or field mismatch")
-    return Matrix(a.field, [ra + rb for ra, rb in zip(a.rows, b.rows)], a.ncols + b.ncols)
-
-
-def map_matrix(mat: Matrix, fn: Callable) -> Matrix:
-    return Matrix(mat.field, [[fn(a) for a in r] for r in mat.rows], mat.ncols)

@@ -71,16 +71,6 @@ def random_form(alphabet: Alphabet, degree: int, field: Field, rng: SplitMix64) 
     return HomogPoly(alphabet, degree, field, [random_scalar(field, rng) for _ in range(n)])
 
 
-def random_nonzero_form(
-    alphabet: Alphabet, degree: int, field: Field, rng: SplitMix64
-) -> HomogPoly:
-    for _ in range(128):
-        f = random_form(alphabet, degree, field, rng)
-        if not f.is_zero():
-            return f
-    raise InternalError("failed to draw a nonzero form")  # pragma: no cover
-
-
 def random_point(nvars: int, field: Field, rng: SplitMix64) -> tuple:
     """A nonzero coordinate tuple; coordinates drawn in index order."""
     for _ in range(128):

@@ -15,7 +15,6 @@ to integers and the exact result is reduced mod p.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import factorial, lcm, prod
 from typing import Sequence
 
@@ -414,50 +413,6 @@ def tensor_unflip(pm: PolyMatrix) -> PolyMatrix:
             row.append(HomogPoly(y_alph, 1, field, coeffs))
         out.append(row)
     return skew_linear(out)
-
-
-# -- determinants and minors ---------------------------------------------------
-
-
-def det_poly(rows: Sequence[Sequence[HomogPoly]]) -> HomogPoly:
-    """Determinant of a small square polynomial matrix (Laplace)."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise UsageError("determinant of a non-square matrix")
-    first = rows[0][0]
-    field = first.field
-
-    def expand(row_ids: tuple[int, ...], col_ids: tuple[int, ...]) -> HomogPoly:
-        if len(row_ids) == 1:
-            return rows[row_ids[0]][col_ids[0]]
-        i0 = row_ids[0]
-        acc = None
-        for t, j in enumerate(col_ids):
-            e = rows[i0][j]
-            if e.is_zero():
-                continue
-            minor = expand(row_ids[1:], col_ids[:t] + col_ids[t + 1 :])
-            term = e * minor
-            if t % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            deg = first.degree * len(row_ids)
-            return HomogPoly.zero(first.alphabet, deg, field)
-        return acc
-
-    return expand(tuple(range(n)), tuple(range(n)))
-
-
-def maximal_minors(pm: PolyMatrix) -> list[HomogPoly]:
-    """All maximal minors of a tall pencil, row subsets in lex order."""
-    if pm.nrows <= pm.ncols:
-        raise UsageError("maximal minors expect more rows than columns")
-    out = []
-    for rows_sel in combinations(range(pm.nrows), pm.ncols):
-        sub = [pm.entries[i] for i in rows_sel]
-        out.append(det_poly(sub))
-    return out
 
 
 # -- evaluation and products ---------------------------------------------------

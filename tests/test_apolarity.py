@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -13,6 +14,7 @@ from skewlab import (
     QQ,
     AlphabetMismatch,
     HomogPoly,
+    Matrix,
     NotGorensteinSocle,
     OddDegree,
     SplitMix64,
@@ -20,13 +22,17 @@ from skewlab import (
     apolar_pairing,
     apolar_rank,
     catalecticant_rank,
+    column_space_canonical,
     d_vars,
     differentiate,
     dim_homog,
     dual_socle_generator,
     hilbert_function,
     is_nondegenerate,
+    kernel_basis,
     mirror,
+    mono_index,
+    monomials,
     pairing_matrix,
     partials_slice,
     parse_poly,
@@ -34,6 +40,8 @@ from skewlab import (
     y_vars,
 )
 from skewlab.randomness import random_form, random_nondegenerate_dual_form
+
+SYMS = sympy.symbols("t0 t1 t2")
 
 
 def dpoly(text, field=QQ, degree=None):
@@ -59,7 +67,7 @@ def test_falling_factorial_scale():
 
 def test_differentiate_matches_sympy():
     rng = SplitMix64(3)
-    syms = sympy.symbols("t0 t1 t2")
+    syms = SYMS
 
     def expr_of(poly):
         total = sympy.Integer(0)
@@ -192,3 +200,101 @@ def test_perp_of_socle_recovers_generators():
     perp = perp_slice(f, 2)
     for g in gens:
         assert perp.contains(g)
+
+
+# -- per-monomial oracle ---------------------------------------------------------
+
+# QQ and a large prime, then primes where some scales b!/g! vanish mod p
+ORACLE_CASES = [(QQ, 4), (GF(32003), 6), (GF(5), 6), (GF(3), 4)]
+ORACLE_IDS = ["QQ-deg4", "F32003-deg6", "F5-deg6", "F3-deg4"]
+
+
+@lru_cache(maxsize=None)
+def power_derivative(a, b):
+    """The integer c with (d/dt)^a t^b = c * t^(b - a), by sympy.diff."""
+    t = SYMS[0]
+    return int(sympy.diff(t**b, t, a).as_coeff_Mul()[0])
+
+
+def monomial_action(a, b):
+    """The integer c with y^a (d^b) = c * d^(b - a).
+
+    The variables act independently, so c is a product of one-variable
+    derivatives.
+    """
+    return math.prod(power_derivative(x, y) for x, y in zip(a, b))
+
+
+def oracle_matrix(field, blocks, k):
+    """Stacked blocks whose rows are the d^g coefficients of y^a (d^b), |b| = k.
+
+    ``blocks`` holds (coefficients, operator degree, carrier).  With
+    carrier "b" the coefficients are a form's and the block is its
+    pairing matrix, one column per operator monomial a.  With carrier "a"
+    they are an operator's and the block is its rows of the joint
+    annihilator system, one column per form monomial b.
+    """
+    rows = []
+    for coeffs, e, carrier in blocks:
+        g_idx = mono_index(3, k - e)
+        ops = monomials(3, e)
+        forms = monomials(3, k)
+        ncols = len(ops) if carrier == "b" else len(forms)
+        block = [[field.zero] * ncols for _ in g_idx]
+        for j, a in enumerate(ops):
+            for l, b in enumerate(forms):
+                c = monomial_action(a, b)
+                if c == 0:
+                    continue
+                i = g_idx[tuple(x - y for x, y in zip(b, a))]
+                col, coeff = (j, coeffs[l]) if carrier == "b" else (l, coeffs[j])
+                block[i][col] = field.add(block[i][col], field.mul(coeff, field.from_int(c)))
+        rows.extend(block)
+    ncols = dim_homog(3, blocks[0][1]) if blocks[0][2] == "b" else dim_homog(3, k)
+    return Matrix(field, rows, ncols)
+
+
+@pytest.mark.parametrize("field, k", ORACLE_CASES, ids=ORACLE_IDS)
+def test_action_matrices_match_monomial_oracle(field, k):
+    rng = SplitMix64(40 + k)
+    target = random_form(d_vars(), k, field, rng)
+    for d in range(k + 2):
+        want = oracle_matrix(field, [(target.coeffs, d, "b")], k)
+        assert pairing_matrix(target, d) == want
+        op = random_form(y_vars(), d, field, rng)
+        got = differentiate(op, target)
+        if d <= k:
+            assert list(got.coeffs) == want.mul_vec(list(op.coeffs))
+            assert partials_slice(target, d).matrix == column_space_canonical(want)
+        else:
+            assert got.is_zero() and got.degree == 0
+            empty = partials_slice(target, d)
+            assert (empty.alphabet, empty.degree, empty.dim) == (d_vars(), 0, 0)
+
+
+@pytest.mark.parametrize("field, k", ORACLE_CASES, ids=ORACLE_IDS)
+def test_dual_socle_generator_matches_monomial_oracle(field, k):
+    rng = SplitMix64(50 + k)
+    target = random_form(d_vars(), k, field, rng)
+    annihilator = perp_slice(target, k - 1).basis_polys() + perp_slice(target, k).basis_polys()
+    quadrics = [random_form(y_vars(), 2, field, rng) for _ in range(3)]
+    lines = 0
+    for gens in (annihilator, quadrics, quadrics[:1] + annihilator):
+        blocks = [(g.coeffs, g.degree, "a") for g in gens]
+        ker = kernel_basis(oracle_matrix(field, blocks, k))
+        if ker.ncols == 1:
+            lines += 1
+            want = HomogPoly(d_vars(), k, field, ker.column(0)).leading_normalized()
+            assert dual_socle_generator(gens, k) == want
+        else:
+            with pytest.raises(NotGorensteinSocle):
+                dual_socle_generator(gens, k)
+    if field.char_exceeds(k):
+        # the annihilator in degrees k - 1 and k cuts out the target's line
+        assert dual_socle_generator(annihilator, k) == target.leading_normalized()
+        assert lines >= 1
+    else:
+        # mod p, y^a (d_i^p F) = d_i^p y^a(F).  Every generator here has
+        # degree above k - p, so it kills each F of degree k - p, and with
+        # it d0^p F, d1^p F and d2^p F: the annihilator is never a line
+        assert lines == 0

@@ -161,27 +161,64 @@ def test_internal_error_exits_four(tmp_path, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        # odd order, sub-Pfaffians of degree 6 >= p
-        (
-            ("sample", "--m", "3", "--n", "13", "--p", "5", "--seed", "1", "--trials", "3"),
-            "83adde728c3be5fa4aedcb5384389fea508a8c5745b4448cd4961d284b72aebb",
-        ),
-        # even order, a Pfaffian of degree 4 >= p
-        (
-            ("sample", "--m", "3", "--n", "8", "--p", "3", "--seed", "1", "--trials", "2"),
-            "71414c9b96471aef77361a4d11067e8ab9bf61f722f18ba97af863189914ef50",
-        ),
-    ],
-)
+# Whole-output sha256 of fixed-seed runs: a change to any of these bytes
+# is a change of behaviour, whatever the kernels underneath do.
+PINNED_OUTPUTS = [
+    # odd order, sub-Pfaffians of degree 6 >= p
+    (
+        ("sample", "--m", "3", "--n", "13", "--p", "5", "--seed", "1", "--trials", "3"),
+        "83adde728c3be5fa4aedcb5384389fea508a8c5745b4448cd4961d284b72aebb",
+    ),
+    # even order, a Pfaffian of degree 4 >= p
+    (
+        ("sample", "--m", "3", "--n", "8", "--p", "3", "--seed", "1", "--trials", "2"),
+        "71414c9b96471aef77361a4d11067e8ab9bf61f722f18ba97af863189914ef50",
+    ),
+    (
+        ("correspond", "from-matrix", "--m", "3", "--n", "7", "--field", "q", "--seed", "1"),
+        "733397bcd22b3ceb4b79b8af619c4b3072a22912e1c292af8e1d6ac1eef1a643",
+    ),
+    (
+        ("correspond", "from-form", "--m", "3", "--n", "7", "--field", "q", "--seed", "1"),
+        "da55848bc5c75b675f04a25a9b503781bb7c1482316a7a4ae37762484a19ba4c",
+    ),
+    # seed 1 is not generic over F_7 (exit 3)
+    (
+        ("correspond", "from-matrix", "--m", "3", "--n", "7", "--p", "7", "--seed", "2"),
+        "6e0f8eae4d4929f4cccae7eb422fabc6c3028238b0d9d7d311339a8c48102ee3",
+    ),
+    (
+        ("correspond", "from-form", "--m", "3", "--n", "7", "--p", "7", "--seed", "1"),
+        "bd343ea79ccabede572284a23ebbfa69998b70be179b0bc35a7eeb098aa207f3",
+    ),
+    (
+        ("project", "--n", "9", "--seed", "1"),
+        "30b9355d64deb89da0e2da6da02856af605eb9236dc9893278a763f607bc3b33",
+    ),
+    (
+        ("sample", "--m", "3", "--n", "6", "--p", "101", "--seed", "1", "--trials", "3"),
+        "8b13f47c695f656e38319695a3cda184003c35e8b3a2568d44f3aaf9b0869d60",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS)
 def test_small_prime_sampling_output_is_pinned(tmp_path, argv, digest):
-    # the digests were recorded with the subset-memo Pfaffians
+    # named after its first two cases, the small-prime sampling runs
     code, raw = run(tmp_path, *argv)
     assert code == 0
-    assert json.loads(raw)["all_ok"] is True
     assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def test_malformed_field_modulus_exits_two(tmp_path, capsys):
+    doc = run_json(tmp_path, "correspond", "from-form", "--n", "5", "--seed", "1")
+    form = dict(doc["form"], field={"kind": "fp", "p": "abc"})
+    form_file = tmp_path / "form.json"
+    form_file.write_text(json.dumps(form))
+    capsys.readouterr()
+    assert main(["correspond", "from-form", "--in", str(form_file)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
 
 
 def test_modulus_beyond_primality_range_exits_two(tmp_path, capsys):

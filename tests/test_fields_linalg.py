@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from skewlab import (
     GF,
     QQ,
-    IncrementalSpan,
+    FormatError,
     Matrix,
     RangeError,
     SingularMatrix,
     SplitMix64,
     UsageError,
     column_space_canonical,
-    complement_basis,
     det,
     inverse,
     is_prime,
@@ -26,7 +25,6 @@ from skewlab import (
     rref,
     solve,
 )
-from skewlab.linalg import hstack
 from skewlab.randomness import random_invertible
 
 
@@ -103,6 +101,18 @@ def test_field_json_roundtrip():
 
     for f in (QQ, GF(101)):
         assert Field.from_json(f.to_json()) == f
+
+
+@pytest.mark.parametrize(
+    "stanza",
+    [{"kind": "fp"}, {"kind": "fp", "p": "abc"}, {"kind": "fp", "p": None}],
+    ids=["missing", "not-an-integer", "null"],
+)
+def test_field_json_rejects_bad_modulus(stanza):
+    from skewlab.fields import Field
+
+    with pytest.raises(FormatError):
+        Field.from_json(stanza)
 
 
 # -- rref / rank / kernel ---------------------------------------------------
@@ -184,9 +194,24 @@ def test_solve_particular_and_inconsistent():
 
 def test_det_matches_sympy():
     rng = SplitMix64(4242)
-    for n in (1, 2, 3, 5, 7):
-        a = random_matrix(QQ, n, n, rng)
-        assert det(a) == Fraction(to_sympy(a).det())
+    for field in (QQ, GF(13)):
+        for n in (1, 2, 3, 5, 7):
+            a = random_matrix(field, n, n, rng)
+            # a zero leading entry makes the elimination swap rows
+            swapped = Matrix(field, [[field.zero] + a.rows[0][1:]] + a.rows[1:])
+            # a repeated row makes the matrix singular
+            singular = Matrix(field, a.rows[:-1] + [a.rows[0]])
+            for mat in (a, swapped, singular):
+                want = Fraction(to_sympy(mat).det())
+                if field.p is not None:
+                    want = want.numerator % field.p
+                assert det(mat) == want
+    # two swaps cancel, one swap negates
+    f = GF(13)
+    assert det(Matrix(f, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == 1
+    assert det(Matrix(f, [[0, 1], [1, 0]])) == 12
+    assert det(Matrix(QQ, [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(4)]])) == -6
+    assert det(Matrix(f, [[0, 0], [0, 5]])) == 0
 
 
 def test_det_multiplicative():
@@ -215,24 +240,6 @@ def test_column_space_canonical_is_basis_independent():
         a = random_matrix(field, 6, 3, rng)
         p = random_invertible(3, field, rng)
         assert column_space_canonical(a) == column_space_canonical(a.mul(p))
-
-
-def test_complement_basis_fills_ambient():
-    rng = SplitMix64(61)
-    a = column_space_canonical(random_matrix(QQ, 6, 2, rng))
-    free, comp = complement_basis(a)
-    assert comp.ncols == 6 - a.ncols and len(free) == comp.ncols
-    assert rank(hstack(a, comp)) == 6
-
-
-def test_incremental_span():
-    f = GF(13)
-    span = IncrementalSpan(f, 3)
-    assert span.add([1, 2, 3])
-    assert span.add([0, 1, 1])
-    assert not span.add([1, 3, 4])
-    assert span.dim == 2
-    assert all(v == 0 for v in span.reduce([2, 5, 7]))
 
 
 # -- properties ---------------------------------------------------------------

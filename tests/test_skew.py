@@ -20,11 +20,9 @@ from skewlab import (
     UsageError,
     congruence,
     det,
-    det_poly,
     evaluate_matrix,
     is_skew_matrix,
     mat_vec_poly,
-    maximal_minors,
     parse_poly,
     pfaffian_poly,
     pfaffian_scalar,
@@ -70,6 +68,34 @@ def matchings(indices):
         remaining = rest[:k] + rest[k + 1 :]
         for tail in matchings(remaining):
             yield ((first, second),) + tail
+
+
+def det_poly(rows):
+    """Determinant of a small square polynomial matrix by Laplace expansion."""
+    n = len(rows)
+    first = rows[0][0]
+
+    def expand(row_ids, col_ids):
+        if len(row_ids) == 1:
+            return rows[row_ids[0]][col_ids[0]]
+        acc = HomogPoly.zero(first.alphabet, first.degree * len(row_ids), first.field)
+        for t, j in enumerate(col_ids):
+            e = rows[row_ids[0]][j]
+            if e.is_zero():
+                continue
+            term = e * expand(row_ids[1:], col_ids[:t] + col_ids[t + 1 :])
+            acc = acc - term if t % 2 else acc + term
+        return acc
+
+    return expand(tuple(range(n)), tuple(range(n)))
+
+
+def maximal_minors(pm):
+    """All maximal minors of a tall pencil, row subsets in lex order."""
+    return [
+        det_poly([pm.entries[i] for i in rows_sel])
+        for rows_sel in itertools.combinations(range(pm.nrows), pm.ncols)
+    ]
 
 
 def pfaffian_by_matchings(rows, one):
