@@ -41,7 +41,7 @@ from .errors import (
     RangeError,
     UsageError,
 )
-from .fields import GF, QQ, Field, is_prime
+from .fields import GF, QQ, Field
 from .randomness import (
     SplitMix64,
     describe,
@@ -60,8 +60,6 @@ from .skew import (
 def _field_from_args(args) -> Field:
     if args.field == "q":
         return QQ
-    if not is_prime(args.p):
-        raise UsageError(f"--p must be prime, got {args.p}")
     return GF(args.p)
 
 

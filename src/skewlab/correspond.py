@@ -22,16 +22,8 @@ from .errors import (
     SyzygyDefect,
 )
 from .fields import Field
-from .linalg import Matrix, det, inverse, kernel_basis
-from .rings import (
-    Alphabet,
-    GradedSlice,
-    HomogPoly,
-    dim_homog,
-    mono_index,
-    monomials,
-    slices_equal,
-)
+from .linalg import Matrix, inverse, kernel_basis
+from .rings import GradedSlice, HomogPoly, dim_homog, mono_index, slices_equal
 from .skew import PolyMatrix, congruence, skew_linear, sub_pfaffians
 
 
@@ -151,75 +143,50 @@ def _linear_syzygies(gens: list[HomogPoly], n: int) -> Matrix:
     is the y_k coefficient of l_i.
     """
     field = gens[0].field
-    e = gens[0].degree
-    out_deg = e + 1
-    rows_dim = dim_homog(3, out_deg)
-    idx = mono_index(3, out_deg)
-    mat = [[field.zero] * (3 * n) for _ in range(rows_dim)]
-    p = field.p
+    idx = mono_index(3, gens[0].degree + 1)
+    mat = [[field.zero] * (3 * n) for _ in range(len(idx))]
     for i, g in enumerate(gens):
         for c, a in g.terms():
             for k in range(3):
                 b = list(a)
                 b[k] += 1
-                r = idx[tuple(b)]
-                col = 3 * i + k
-                v = mat[r][col] + c
-                mat[r][col] = v if p is None else v % p
+                mat[idx[tuple(b)]][3 * i + k] = c
     return kernel_basis(Matrix(field, mat, 3 * n))
 
 
-def _skew_combinations(t_rows: list[list[HomogPoly]], n: int, field: Field) -> Matrix:
+def _skew_combinations(layers: list[Matrix], n: int, field: Field) -> Matrix:
     """Kernel of the skewness constraints on Q with N = Q T.
 
-    Unknowns are the n^2 entries of Q in row-major order; for every pair
-    i <= j and every variable coefficient the constraint is
-    (QT)_{ij} + (QT)_{ji} = 0.
+    ``layers[k]`` is T_k, the y_k coefficient matrix of T.  Unknowns are
+    the n^2 entries of Q in row-major order; for every pair i <= j and
+    every variable the constraint is (Q T_k)_{ij} + (Q T_k)_{ji} = 0,
+    whose coefficients on row i of Q are column j of T_k and vice versa.
+    For i = j the row is (Q T_k)_{ii} = 0, half the constraint, with the
+    same solutions: the characteristic exceeds n - 3 >= 2.
     """
-    p = field.p
+    cols = [t.columns() for t in layers]
     rows = []
     for i in range(n):
         for j in range(i, n):
-            for k in range(3):
+            for ck in cols:
                 row = [field.zero] * (n * n)
-                for s in range(n):
-                    v = row[i * n + s] + t_rows[s][j].coeffs[k]
-                    row[i * n + s] = v if p is None else v % p
-                    v = row[j * n + s] + t_rows[s][i].coeffs[k]
-                    row[j * n + s] = v if p is None else v % p
+                row[i * n : (i + 1) * n] = ck[j]
+                row[j * n : (j + 1) * n] = ck[i]
                 rows.append(row)
     return kernel_basis(Matrix(field, rows, n * n))
-
-
-def _pick_invertible(candidates: Matrix, n: int, field: Field) -> Matrix:
-    """First invertible Q among kernel basis vectors, then pairwise sums."""
-    cols = candidates.columns()
-
-    def unvec(vec) -> Matrix:
-        return Matrix(field, [vec[r * n : (r + 1) * n] for r in range(n)], n)
-
-    for vec in cols:
-        q = unvec(vec)
-        if det(q) != field.zero:
-            return q
-    for a in range(len(cols)):
-        for b in range(a + 1, len(cols)):
-            vec = [field.add(x, y) for x, y in zip(cols[a], cols[b])]
-            q = unvec(vec)
-            if det(q) != field.zero:
-                return q
-    raise SkewNormalizationFailure(
-        "no invertible skew-normalizing matrix in the solution space"
-    )
 
 
 def form_to_matrix(form: HomogPoly) -> tuple[PolyMatrix, Certificate]:
     """Odd skew pencil whose sub-Pfaffians cut out the form's annihilator.
 
     Steps: take the degree (n-1)/2 annihilator basis g, compute its
-    n-dimensional space of linear syzygies T, solve for a constant Q
-    making Q T skew, and certify that the sub-Pfaffians of N = Q T span
-    the same space as g.
+    n-dimensional space of linear syzygies T = sum_k T_k y_k, and solve
+    for the constant Q making N = Q T skew.  For a generic form these Q
+    form a line (Buchsbaum-Eisenbud), whose canonical basis vector gives
+    N as the three products Q T_k; any other dimension raises
+    ``SkewNormalizationFailure``.  Last, certify that the sub-Pfaffians of
+    N span the same space as g.  A singular Q fails there: N then has a
+    constant kernel vector, so its sub-Pfaffians span at most a line.
     """
     if form.alphabet.key != "D":
         raise AlphabetMismatch("dual form must live over the d alphabet")
@@ -246,33 +213,19 @@ def form_to_matrix(form: HomogPoly) -> tuple[PolyMatrix, Certificate]:
         raise SyzygyDefect(
             f"linear syzygy space has dimension {syz.ncols}, expected {n}"
         )
-    y_alph = Alphabet("Y", 3)
-    t_rows = []
-    for s in range(n):
-        vec = syz.column(s)
-        t_rows.append(
-            [HomogPoly(y_alph, 1, field, vec[3 * i : 3 * i + 3]) for i in range(n)]
+    # T[s][j] = sum_k syz[3j + k][s] y_k, so row j of T_k^T is syz row 3j + k
+    layers = [Matrix(field, syz.rows[k::3], n).transpose() for k in range(3)]
+    q_space = _skew_combinations(layers, n, field)
+    if q_space.ncols != 1:
+        raise SkewNormalizationFailure(
+            f"skew solution space has dimension {q_space.ncols}, expected 1"
         )
-
-    q_space = _skew_combinations(t_rows, n, field)
-    if q_space.ncols == 0:
-        raise SkewNormalizationFailure("skewness constraints have no solution")
-    q = _pick_invertible(q_space, n, field)
-
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            coeffs = [field.zero] * 3
-            for s in range(n):
-                c = q.rows[i][s]
-                if c == 0:
-                    continue
-                for t in range(3):
-                    coeffs[t] = field.add(coeffs[t], field.mul(c, t_rows[s][j].coeffs[t]))
-            row.append(HomogPoly(y_alph, 1, field, coeffs))
-        entries.append(row)
-    pencil = skew_linear(entries)
+    vec = q_space.column(0)
+    q = Matrix(field, [vec[r * n : (r + 1) * n] for r in range(n)], n)
+    products = [q.mul(t).rows for t in layers]
+    coeffs = [[[nk[i][j] for nk in products] for j in range(n)] for i in range(n)]
+    y_alph = form.alphabet.dual()
+    pencil = skew_linear([[HomogPoly(y_alph, 1, field, c) for c in row] for row in coeffs])
 
     pfs, _signed = sub_pfaffians(pencil, check=False)
     span = GradedSlice.from_polys(pfs)

@@ -82,7 +82,8 @@ class SyzygyDefect(GenericityError):
 
 
 class SkewNormalizationFailure(GenericityError):
-    """No invertible constant recombination makes the syzygy matrix skew."""
+    """The skew solution is not a line, or its pencil's sub-Pfaffians
+    do not span the annihilator."""
 
 
 class NoPointsFound(GenericityError):

@@ -52,6 +52,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def json_int(value: Any, what: str) -> int:
+    """``value`` if it is a JSON integer; a bool, float or string is not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class Field:
     """The rationals (``p is None``) or the prime field F_p."""
 
@@ -165,10 +172,7 @@ class Field:
         if obj["kind"] == "q":
             return QQ
         if obj["kind"] == "fp":
-            p = obj.get("p")
-            if isinstance(p, bool) or not isinstance(p, int):
-                raise FormatError(f"field modulus must be an integer, got {p!r}")
-            return Field(p)
+            return Field(json_int(obj.get("p"), "field modulus"))
         raise FormatError(f"unknown field kind {obj['kind']!r}")
 
 

@@ -16,8 +16,8 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import AlphabetMismatch, DegreeMismatch, FormatError, UsageError
-from .fields import Field
+from .errors import AlphabetMismatch, DegreeMismatch, FormatError, SkewlabError, UsageError
+from .fields import Field, json_int
 from .linalg import Matrix, column_space_canonical, solve
 
 _PREFIX = {"Y": "y", "D": "d", "X": "x"}
@@ -295,6 +295,8 @@ def parse_poly(
     ``degree`` may be omitted when the text has at least one term; it is
     required to give the zero polynomial a grade.
     """
+    if not isinstance(text, str):
+        raise FormatError(f"polynomial text must be a string, got {text!r}")
     src = text.replace(" ", "")
     if not src:
         raise FormatError("empty polynomial text")
@@ -379,12 +381,17 @@ def poly_to_json(poly: HomogPoly) -> dict:
 
 def poly_from_json(obj: dict, field: Field | None = None) -> HomogPoly:
     try:
-        alphabet = Alphabet(str(obj["alphabet"]), int(obj["nvars"]))
-        degree = int(obj["degree"])
+        alphabet = Alphabet(str(obj["alphabet"]), json_int(obj["nvars"], "nvars"))
+        degree = json_int(obj["degree"], "degree")
         if field is None:
             field = Field.from_json(obj["field"])
-        terms = [(field.scalar_from_json(c), tuple(int(x) for x in e)) for c, e in obj["terms"]]
-    except (KeyError, TypeError) as exc:
+        terms = [
+            (field.scalar_from_json(c), tuple(json_int(x, "exponent") for x in e))
+            for c, e in obj["terms"]
+        ]
+    except SkewlabError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: a term is not a pair
         raise FormatError(f"bad polynomial JSON: {exc}") from exc
     return HomogPoly.from_terms(alphabet, degree, field, terms)
 
@@ -496,10 +503,13 @@ class GradedSlice:
 
     @staticmethod
     def from_json(obj: dict) -> "GradedSlice":
-        field = Field.from_json(obj["field"])
-        alphabet = Alphabet(str(obj["alphabet"]), int(obj["nvars"]))
-        degree = int(obj["degree"])
-        polys = [parse_poly(t, alphabet, field, degree) for t in obj["basis"]]
+        try:
+            field = Field.from_json(obj["field"])
+            alphabet = Alphabet(str(obj["alphabet"]), json_int(obj["nvars"], "nvars"))
+            degree = json_int(obj["degree"], "degree")
+            polys = [parse_poly(t, alphabet, field, degree) for t in obj["basis"]]
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"bad slice JSON: {exc}") from exc
         return GradedSlice.from_polys(polys, alphabet, degree, field)
 
 

@@ -27,7 +27,7 @@ from .errors import (
     OddOrder,
     UsageError,
 )
-from .fields import Field
+from .fields import Field, json_int
 from .linalg import Matrix, kernel_basis
 from .rings import Alphabet, HomogPoly, format_poly, mono_index, monomials, parse_poly
 
@@ -440,34 +440,22 @@ def mat_vec_poly(pm: PolyMatrix, vec: Sequence[HomogPoly]) -> list[HomogPoly]:
 
 
 def congruence(pm: PolyMatrix, p_mat: Matrix) -> PolyMatrix:
-    """Congruence P^T (pm) P for a constant square matrix P."""
+    """Congruence P^T (pm) P for a constant square matrix P.
+
+    Writing pm = sum_k m_k A_k over the monomials m_k of its entry degree,
+    the result is sum_k m_k (P^T A_k P).
+    """
     if p_mat.nrows != pm.nrows or p_mat.ncols != pm.nrows:
         raise DegreeMismatch("congruence needs a square matrix of matching order")
-    n = pm.nrows
     field = pm.field
-    zero = HomogPoly.zero(pm.alphabet, pm.degree, field)
-
-    # W = pm . P
-    w = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                c = p_mat.rows[k][j]
-                if c != 0:
-                    acc = acc + pm.entries[i][k].scale(c)
-            w[i][j] = acc
-    # out = P^T . W
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                c = p_mat.rows[k][i]
-                if c != 0:
-                    acc = acc + w[k][j].scale(c)
-            out[i][j] = acc
-    return PolyMatrix(out)
+    n = pm.nrows
+    p_t = p_mat.transpose()
+    layers = []
+    for k in range(len(pm.entries[0][0].coeffs)):
+        a_k = Matrix(field, [[q.coeffs[k] for q in row] for row in pm.entries])
+        layers.append(p_t.mul(a_k).mul(p_mat).rows)
+    coeffs = [[[a[i][j] for a in layers] for j in range(n)] for i in range(n)]
+    return PolyMatrix([[HomogPoly(pm.alphabet, pm.degree, field, c) for c in r] for r in coeffs])
 
 
 # -- serialization ---------------------------------------------------------------
@@ -503,8 +491,8 @@ def poly_matrix_from_json(obj: dict) -> PolyMatrix:
     try:
         kind = obj["kind"]
         field = Field.from_json(obj["field"])
-        alphabet = Alphabet(str(obj["alphabet"]), int(obj["nvars"]))
-        degree = int(obj["degree"])
+        alphabet = Alphabet(str(obj["alphabet"]), json_int(obj["nvars"], "nvars"))
+        degree = json_int(obj["degree"], "degree")
         entries = [
             [parse_poly(t, alphabet, field, degree) for t in row] for row in obj["entries"]
         ]

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from skewlab import InternalError, poly_matrix_to_json
+from skewlab import GF, InternalError, d_vars, parse_poly, poly_matrix_to_json, poly_to_json
 from skewlab.cli import main
 
 from conftest import norm_form_pencil
@@ -131,7 +131,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"alphabet\": \"Y\"}")
     assert main(["correspond", "from-matrix", "--in", str(bad)]) == 2
-    capsys.readouterr()
+    assert main(["correspond", "from-matrix", "--n", "5", "--seed", "1", "--p", "9"]) == 2
+    assert "must be prime" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_two():
@@ -219,6 +220,50 @@ def test_malformed_field_modulus_exits_two(tmp_path, capsys):
     assert main(["correspond", "from-form", "--in", str(form_file)]) == 2
     err = capsys.readouterr().err
     assert "usage error" in err and "Traceback" not in err
+
+
+# Malformed input files: (command, source of a valid file, path into it,
+# value written there, word the usage error names).
+MALFORMED_INPUTS = [
+    (["correspond", "from-form"], "form", ["nvars"], "abc", "nvars"),
+    (["correspond", "from-form"], "form", ["degree"], "x", "degree"),
+    (["correspond", "from-form"], "form", ["terms", 0, 1, 0], "a", "exponent"),
+    (["correspond", "from-matrix"], "matrix", ["nvars"], "abc", "nvars"),
+    (["correspond", "from-matrix"], "matrix", ["degree"], "x", "degree"),
+    (["correspond", "from-matrix"], "matrix", ["entries"], [[1]], "string"),
+    (["sample", "--seed", "1"], "matrix", ["nvars"], "abc", "nvars"),
+    (["sample", "--seed", "1"], "matrix", ["degree"], "x", "degree"),
+    (["sample", "--seed", "1"], "matrix", ["entries"], [[1]], "string"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, source, path, value, word",
+    MALFORMED_INPUTS,
+    ids=[f"{c[0] if c[0] == 'sample' else c[1]}-{p[0]}" for c, _, p, _, _ in MALFORMED_INPUTS],
+)
+def test_malformed_input_file_exits_two(tmp_path, capsys, command, source, path, value, word):
+    doc = run_json(tmp_path, "correspond", "from-form", "--n", "5", "--seed", "1")[source]
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    in_file = tmp_path / "in.json"
+    in_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([*command, "--in", str(in_file)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and word in err and "Traceback" not in err
+
+
+def test_skew_normalization_failure_exits_three(tmp_path, capsys):
+    # d0^2 + d1^2: the skew solution is a line, but Q is singular
+    form = parse_poly("d0^2 + d1^2", d_vars(), GF(101))
+    form_file = tmp_path / "form.json"
+    form_file.write_text(json.dumps(poly_to_json(form)))
+    code, raw = run(tmp_path, "correspond", "from-form", "--in", str(form_file))
+    assert code == 3 and raw == b""
+    assert "SkewNormalizationFailure" in capsys.readouterr().err
 
 
 def test_modulus_beyond_primality_range_exits_two(tmp_path, capsys):

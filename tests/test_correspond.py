@@ -1,5 +1,7 @@
 """Round trip between odd skew pencils and their apolar dual forms."""
 
+from collections import Counter
+
 import pytest
 
 from skewlab import (
@@ -11,7 +13,9 @@ from skewlab import (
     GradedSlice,
     HomogPoly,
     RangeError,
+    SkewNormalizationFailure,
     SplitMix64,
+    SyzygyDefect,
     UsageError,
     congruence_transport,
     d_vars,
@@ -25,6 +29,7 @@ from skewlab import (
     y_vars,
 )
 from skewlab.randomness import (
+    random_form,
     random_invertible,
     random_nondegenerate_dual_form,
     random_skew_linear,
@@ -164,12 +169,61 @@ def test_form_to_matrix_rejects_degenerate_form():
         form_to_matrix(parse_poly("d0^4", d_vars(), QQ))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("d0^2", SyzygyDefect),
+        # the skew solution is a line, but Q is singular
+        ("d0^2 + d1^2", SkewNormalizationFailure),
+        # the skew solutions form a 3-dimensional space
+        ("d0^2*d1*d2", SkewNormalizationFailure),
+    ],
+)
+def test_form_to_matrix_genericity_exits(field, text, error):
+    with pytest.raises(error):
+        form_to_matrix(parse_poly(text, d_vars(), field))
+
+
+def test_form_to_matrix_needs_a_line_of_skew_solutions():
+    # the first basis vector of a larger solution space is not tried
+    with pytest.raises(SkewNormalizationFailure, match="skew solution space has dimension 3"):
+        form_to_matrix(parse_poly("d0^2*d1*d2", d_vars(), GF(101)))
+
+
 def test_congruence_transport_preserves_the_form():
-    field = GF(32003)
-    pm = seeded_pencil(7, field, 21)
-    rng = SplitMix64(22)
-    moved = congruence_transport(pm, random_invertible(7, field, rng))
-    form_a, _ = matrix_to_form(pm)
-    form_b, cert = matrix_to_form(moved)
-    assert cert.ok
-    assert form_a == form_b
+    for field in (GF(32003), QQ):
+        pm = seeded_pencil(7, field, 21)
+        rng = SplitMix64(22)
+        moved = congruence_transport(pm, random_invertible(7, field, rng))
+        form_a, _ = matrix_to_form(pm)
+        form_b, cert = matrix_to_form(moved)
+        assert cert.ok
+        assert form_a == form_b
+
+
+# Outcomes of form_to_matrix on unfiltered random forms, seeds 0..count-1:
+# every form gives a certified pencil or a genericity error.  The tally per
+# (prime, n, count) pins which of the two each form gives.
+RANDOM_FORM_OUTCOMES = {
+    (7, 5, 60): {"ok": 47, "SkewNormalizationFailure": 13},
+    (7, 7, 40): {"ok": 36, "SkewNormalizationFailure": 4},
+    (101, 7, 40): {"ok": 39, "SkewNormalizationFailure": 1},
+    (13, 9, 10): {"ok": 10},
+}
+
+
+@pytest.mark.parametrize("cell", list(RANDOM_FORM_OUTCOMES), ids=lambda c: "F%d-n%d" % c[:2])
+def test_random_form_outcomes_are_pinned(cell):
+    p, n, count = cell
+    tally = Counter()
+    for seed in range(count):
+        form = random_form(d_vars(), n - 3, GF(p), SplitMix64(seed))
+        try:
+            _, cert = form_to_matrix(form)
+        except GenericityError as exc:
+            tally[type(exc).__name__] += 1
+        else:
+            assert cert.ok
+            tally["ok"] += 1
+    assert tally == RANDOM_FORM_OUTCOMES[cell]

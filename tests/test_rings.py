@@ -16,6 +16,7 @@ from skewlab import (
     FormatError,
     GradedSlice,
     HomogPoly,
+    RangeError,
     SplitMix64,
     UsageError,
     d_vars,
@@ -210,6 +211,43 @@ def test_slice_json_roundtrip():
     y = y_vars()
     slc = GradedSlice.from_polys([random_form(y, 2, GF(101), rng) for _ in range(2)])
     assert GradedSlice.from_json(slc.to_json()) == slc
+
+
+# Integer fields of the polynomial formats: a bool, a float or a string is
+# rejected, never truncated or parsed; so is a term that is not a pair.
+NOT_INTEGERS = ["abc", "3", 2.9, 3.0, True, None]
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+def test_poly_json_integer_fields_are_checked(value):
+    good = poly_to_json(parse_poly("d0^2 - 3*d1*d2", d_vars(), GF(101)))
+    assert poly_from_json(good) == parse_poly("d0^2 - 3*d1*d2", d_vars(), GF(101))
+    for key in ("nvars", "degree"):
+        with pytest.raises(FormatError):
+            poly_from_json(dict(good, **{key: value}))
+    bad_exponent = dict(good, terms=[[1, [value, 0, 0]]])
+    with pytest.raises(FormatError):
+        poly_from_json(bad_exponent)
+
+
+def test_poly_json_bad_terms_and_slice_json():
+    good = poly_to_json(parse_poly("d0^2", d_vars(), QQ))
+    for terms in ([[1, [2, 0, 0], 5]], [[1]], [7], "d0"):
+        with pytest.raises(FormatError):
+            poly_from_json(dict(good, terms=terms))
+    # errors of the package raised inside the loader keep their class
+    with pytest.raises(RangeError):
+        poly_from_json(dict(good, field={"kind": "fp", "p": 9}))
+    with pytest.raises(DegreeMismatch):
+        poly_from_json(dict(good, terms=[[1, [2, 0]]]))
+    slc = GradedSlice.from_polys([parse_poly("y0 + y1", y_vars(), QQ)]).to_json()
+    for bad in ({"nvars": "3"}, {"degree": 1.0}, {"basis": [1]}, {"basis": None}):
+        with pytest.raises(FormatError):
+            GradedSlice.from_json(dict(slc, **bad))
+    with pytest.raises(FormatError):
+        GradedSlice.from_json({"alphabet": "Y"})
+    with pytest.raises(FormatError):
+        parse_poly(5, y_vars(), QQ)
 
 
 @settings(max_examples=20, deadline=None)

@@ -16,6 +16,7 @@ from skewlab import (
     Matrix,
     NotSkew,
     OddOrder,
+    PolyMatrix,
     SplitMix64,
     UsageError,
     congruence,
@@ -389,15 +390,32 @@ def test_maximal_minors_lex_order_and_values():
 # -- congruence ---------------------------------------------------------------
 
 
+def congruence_by_entries(pm, p):
+    """P^T N P entry by entry, as sums of scaled polynomials."""
+    n, field = pm.nrows, pm.field
+    zero = HomogPoly.zero(pm.alphabet, pm.degree, field)
+    out = [[zero] * n for _ in range(n)]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        c = field.mul(p.rows[k][i], p.rows[l][j])
+        out[i][j] = out[i][j] + pm.entries[k][l].scale(c)
+    return out
+
+
 def test_congruence_pfaffian_scaling():
-    # pf(P^T N P) = det(P) pf(N)
+    # pf(P^T N P) = det(P) pf(N), over F_p, over QQ with denominators, and
+    # for a pencil of quadrics (every entry times one fixed linear form)
     rng = SplitMix64(311)
     field = GF(32003)
-    pm = skew_linear(random_skew_linear(6, 3, field, rng))
-    p = random_invertible(6, field, rng)
-    moved = congruence(pm, p)
-    assert is_skew_matrix(moved)
-    assert pfaffian_poly(moved) == pfaffian_poly(pm).scale(det(p))
+    linear = skew_linear(random_skew_linear(6, 3, field, rng))
+    ell = parse_poly("2*y0 - y1 + 5*y2", y_vars(), QQ)
+    rational = pencil_with_denominators(6, rng)
+    quadric = PolyMatrix([[q * ell for q in row] for row in rational.entries])
+    for pm in (linear, rational, quadric):
+        p = random_invertible(6, pm.field, rng)
+        moved = congruence(pm, p)
+        assert is_skew_matrix(moved) and moved.degree == pm.degree
+        assert pfaffian_poly(moved) == pfaffian_poly(pm).scale(det(p))
+        assert [list(row) for row in moved.entries] == congruence_by_entries(pm, p)
 
 
 # -- JSON ----------------------------------------------------------------------
