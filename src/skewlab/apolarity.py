@@ -10,9 +10,9 @@ here is filled from one walk, ``_contractions``, over the pairs of an
 operator monomial a and a result monomial g, with b = a + g:
 ``differentiate``, ``pairing_matrix`` (and through it ``perp_slice``,
 ``partials_slice`` and the Hilbert function) and each generator block of
-``dual_socle_generator``.  Over F_p the exact integer scaling is reduced
-mod p and pairs whose scale vanishes are skipped, so workflows that rely
-on invertible factorials must check ``field.char_exceeds(degree)`` first.
+``dual_socle_generator``.  The exact integer scaling is reduced by the
+field; over F_p it can vanish, so workflows that rely on invertible
+factorials must check ``field.char_exceeds(degree)`` first.
 """
 
 from __future__ import annotations
@@ -46,25 +46,22 @@ def _action_scale(b: tuple[int, ...], a: tuple[int, ...]) -> int:
     return out
 
 
-def _contractions(nvars: int, op_degree: int, out_deg: int, p: int | None):
-    """Every nonzero action of an operator monomial on a form monomial.
+def _contractions(nvars: int, op_degree: int, out_deg: int):
+    """Every action of an operator monomial on a form monomial.
 
     Walks each operator monomial a of degree ``op_degree`` and each
     result monomial g of degree ``out_deg``, sets b = a + g, and yields
     ``(j, i, l, scale)``: the indices of a, g and b in their grlex bases
-    and the scale b!/g! with which y^a sends d^b to d^g, reduced mod
-    ``p``.  Pairs whose scale vanishes mod ``p`` are skipped.
+    and the exact integer scale b!/g! with which y^a sends d^b to d^g.
+    Each pair fills its own cell, so a scale that the field reduces to 0
+    writes the 0 the cell already holds.
     """
     b_idx = mono_index(nvars, op_degree + out_deg)
     gammas = monomials(nvars, out_deg)
     for j, a in enumerate(monomials(nvars, op_degree)):
         for i, g in enumerate(gammas):
             b = tuple(x + y for x, y in zip(a, g))
-            scale = _action_scale(b, a)
-            if p is not None:
-                scale %= p
-            if scale:
-                yield j, i, b_idx[b], scale
+            yield j, i, b_idx[b], _action_scale(b, a)
 
 
 def differentiate(op: HomogPoly, target: HomogPoly) -> HomogPoly:
@@ -85,7 +82,7 @@ def differentiate(op: HomogPoly, target: HomogPoly) -> HomogPoly:
     nvars = target.alphabet.nvars
     out = [field.zero] * dim_homog(nvars, out_deg)
     oc, tc = op.coeffs, target.coeffs
-    for j, i, l, scale in _contractions(nvars, op.degree, out_deg, field.p):
+    for j, i, l, scale in _contractions(nvars, op.degree, out_deg):
         if oc[j] and tc[l]:
             out[i] = field.add(out[i], field.mul(oc[j] * tc[l], scale))
     return HomogPoly(target.alphabet, out_deg, field, out)
@@ -108,7 +105,7 @@ def pairing_matrix(target: HomogPoly, op_degree: int) -> Matrix:
     n_ops = dim_homog(nvars, op_degree)
     mat = [[field.zero] * n_ops for _ in range(dim_homog(nvars, out_deg))]
     coeffs = target.coeffs
-    for j, i, l, scale in _contractions(nvars, op_degree, out_deg, field.p):
+    for j, i, l, scale in _contractions(nvars, op_degree, out_deg):
         if coeffs[l]:
             mat[i][j] = field.mul(coeffs[l], scale)
     return Matrix(field, mat, n_ops)
@@ -193,7 +190,7 @@ def dual_socle_generator(gens: Sequence[HomogPoly], k: int) -> HomogPoly:
         out_deg = k - g.degree
         block = [[field.zero] * n_cols for _ in range(dim_homog(nvars, out_deg))]
         coeffs = g.coeffs
-        for j, i, l, scale in _contractions(nvars, g.degree, out_deg, field.p):
+        for j, i, l, scale in _contractions(nvars, g.degree, out_deg):
             if coeffs[j]:
                 block[i][l] = field.mul(coeffs[j], scale)
         rows.extend(block)

@@ -41,7 +41,7 @@ from .errors import (
     RangeError,
     UsageError,
 )
-from .fields import GF, QQ, Field
+from .fields import GF, QQ, Field, check_size
 from .randomness import (
     SplitMix64,
     describe,
@@ -379,6 +379,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command != "ledger":  # the ledger is closed forms of any size
+            for flag in ("m", "n"):
+                check_size(getattr(args, flag) or 0, f"--{flag}")
         result = _HANDLERS[args.command](args)
         text = result if isinstance(result, str) else _dump(result)
         _emit(text, args.out)

@@ -104,13 +104,13 @@ class IncidenceResult:
         }
 
 
-def _det3(r0, r1, r2, p):
-    v = (
+def _det3(r0, r1, r2):
+    """The unreduced determinant of three rows of length 3."""
+    return (
         r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
         - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
         + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
     )
-    return v if p is None else v % p
 
 
 def incidence_check(pencil: PolyMatrix, point) -> IncidenceResult:
@@ -124,16 +124,16 @@ def incidence_check(pencil: PolyMatrix, point) -> IncidenceResult:
     a = evaluate_matrix(pencil, point)
     r = rank(a)
     m = pencil.ncols
-    p = pencil.field.p
-    zero = pencil.field.zero
+    field = pencil.field
+    zero = field.zero
     all_zero = True
     n_minors = 0
     for rows_sel in combinations(range(a.nrows), m):
         n_minors += 1
         if m == 3:
-            v = _det3(a.rows[rows_sel[0]], a.rows[rows_sel[1]], a.rows[rows_sel[2]], p)
+            v = field.from_int(_det3(*(a.rows[i] for i in rows_sel)))
         else:
-            v = det(Matrix(pencil.field, [a.rows[i] for i in rows_sel], m))
+            v = det(Matrix(field, [a.rows[i] for i in rows_sel], m))
         if v != zero:
             all_zero = False
     ok = r < m
@@ -398,7 +398,7 @@ def even_scroll_sample(
         xs = []
         ranks = []
         for t in range(per_point):
-            x = tuple((v1 + t * v2) % p for v1, v2 in zip(b1, b2))
+            x = tuple(field.axpy(t, b1, b2))
             res = incidence_check(flipped, x)
             if not res.ok:
                 raise InternalError("kernel line sample failed incidence")

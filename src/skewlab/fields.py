@@ -59,6 +59,18 @@ def json_int(value: Any, what: str) -> int:
     return value
 
 
+#: The largest matrix order, number of variables or degree that CLI flags
+#: and JSON files may give; it bounds what is built, not how long it runs.
+MAX_ORDER = 41
+
+
+def check_size(value: Any, what: str) -> int:
+    """``value`` if it is an integer of at most ``MAX_ORDER``."""
+    if json_int(value, what) > MAX_ORDER:
+        raise RangeError(f"{what} must be at most {MAX_ORDER}, got {value}")
+    return value
+
+
 class Field:
     """The rationals (``p is None``) or the prime field F_p."""
 
@@ -94,7 +106,8 @@ class Field:
     def one(self):
         return Fraction(1) if self.p is None else 1
 
-    def from_int(self, a: int):
+    def from_int(self, a):
+        """An integer, or over QQ an exact rational, as a reduced field scalar."""
         return Fraction(a) if self.p is None else a % self.p
 
     def char_exceeds(self, k: int) -> bool:
@@ -126,6 +139,13 @@ class Field:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def axpy(self, c, x, y) -> list:
+        """The vector ``x + c * y``, reduced."""
+        if self.p is None:
+            return [a + c * b for a, b in zip(x, y)]
+        p = self.p
+        return [(a + c * b) % p for a, b in zip(x, y)]
 
     def is_zero(self, a) -> bool:
         return a == 0

@@ -7,9 +7,8 @@ determinant factor.  ``rref``, ``rank``, ``kernel_basis``, ``solve``,
 ``det``, ``inverse`` and ``column_space_canonical`` are thin wrappers
 over it.  Reduced echelon forms are fully normalized and kernel bases
 put a unit at their own free coordinate, so every result is canonical.
-Matrices are dense lists of lists.  The kernel's only field branch is
-its row update, one list comprehension per field, because the mod-p
-update dominates the correspondence workflows.
+Matrices are dense lists of lists.  The row update, here and in
+``Matrix.mul``, is ``Field.axpy``: only the field reduces scalars.
 """
 
 from __future__ import annotations
@@ -71,19 +70,13 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DegreeMismatch("inner dimensions differ")
         f = self.field
-        p = f.p
         ocols = other.ncols
         out = []
         for row in self.rows:
             acc = [f.zero] * ocols
-            for k, a in enumerate(row):
-                if a == 0:
-                    continue
-                orow = other.rows[k]
-                if p is None:
-                    acc = [s + a * b for s, b in zip(acc, orow)]
-                else:
-                    acc = [(s + a * b) % p for s, b in zip(acc, orow)]
+            for a, orow in zip(row, other.rows):
+                if a != 0:
+                    acc = f.axpy(a, acc, orow)
             out.append(acc)
         return Matrix(f, out, ocols)
 
@@ -91,14 +84,7 @@ class Matrix:
         if len(vec) != self.ncols:
             raise DegreeMismatch("vector length mismatch")
         f = self.field
-        p = f.p
-        out = []
-        for row in self.rows:
-            s = f.zero
-            for a, b in zip(row, vec):
-                s = s + a * b
-            out.append(s if p is None else s % p)
-        return out
+        return [f.from_int(sum(a * b for a, b in zip(row, vec))) for row in self.rows]
 
     # -- comparison and serialization ---------------------------------------
 
@@ -142,7 +128,6 @@ def _rref_inplace(rows: list[list], field: Field) -> tuple[list[int], object]:
     m = len(rows)
     if m == 0:
         return pivots, factor
-    p = field.p
     mul = field.mul
     r = 0
     for c in range(len(rows[0])):
@@ -165,10 +150,7 @@ def _rref_inplace(rows: list[list], field: Field) -> tuple[list[int], object]:
         for i in range(m):
             fac = rows[i][c]
             if i != r and fac:
-                if p is None:
-                    rows[i] = [a - fac * b for a, b in zip(rows[i], prow)]
-                else:
-                    rows[i] = [(a - fac * b) % p for a, b in zip(rows[i], prow)]
+                rows[i] = field.axpy(-fac, rows[i], prow)
         pivots.append(c)
         r += 1
         if r == m:

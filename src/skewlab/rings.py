@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatch, DegreeMismatch, FormatError, SkewlabError, UsageError
-from .fields import Field, json_int
+from .fields import Field, check_size, json_int
 from .linalg import Matrix, column_space_canonical, solve
 
 _PREFIX = {"Y": "y", "D": "d", "X": "x"}
@@ -198,33 +198,27 @@ class HomogPoly:
         tdeg = self.degree + other.degree
         out = [f.zero] * dim_homog(nvars, tdeg)
         idx = mono_index(nvars, tdeg)
-        p = f.p
+        add = f.add
         sterms = list(self.terms())
         oterms = list(other.terms())
         for c1, e1 in sterms:
             for c2, e2 in oterms:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 i = idx[e]
-                if p is None:
-                    out[i] = out[i] + c1 * c2
-                else:
-                    out[i] = (out[i] + c1 * c2) % p
+                out[i] = add(out[i], c1 * c2)
         return HomogPoly(self.alphabet, tdeg, f, out)
 
     def evaluate(self, point: Sequence):
         """Value at a point given as field scalars in variable order."""
         if len(point) != self.alphabet.nvars:
             raise DegreeMismatch("point has wrong length")
-        f = self.field
-        p = f.p
-        total = f.zero
+        total = 0
         for c, expo in self.terms():
-            v = c
             for x, e in zip(point, expo):
                 if e:
-                    v = f.mul(v, x ** e if p is None else pow(x, e, p))
-            total = f.add(total, v)
-        return total
+                    c *= x**e
+            total += c
+        return self.field.from_int(total)
 
     def leading_normalized(self) -> "HomogPoly":
         """Scale so the first nonzero grlex coefficient is 1."""
@@ -381,8 +375,8 @@ def poly_to_json(poly: HomogPoly) -> dict:
 
 def poly_from_json(obj: dict, field: Field | None = None) -> HomogPoly:
     try:
-        alphabet = Alphabet(str(obj["alphabet"]), json_int(obj["nvars"], "nvars"))
-        degree = json_int(obj["degree"], "degree")
+        alphabet = Alphabet(str(obj["alphabet"]), check_size(obj["nvars"], "nvars"))
+        degree = check_size(obj["degree"], "degree")
         if field is None:
             field = Field.from_json(obj["field"])
         terms = [
@@ -505,8 +499,8 @@ class GradedSlice:
     def from_json(obj: dict) -> "GradedSlice":
         try:
             field = Field.from_json(obj["field"])
-            alphabet = Alphabet(str(obj["alphabet"]), json_int(obj["nvars"], "nvars"))
-            degree = json_int(obj["degree"], "degree")
+            alphabet = Alphabet(str(obj["alphabet"]), check_size(obj["nvars"], "nvars"))
+            degree = check_size(obj["degree"], "degree")
             polys = [parse_poly(t, alphabet, field, degree) for t in obj["basis"]]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad slice JSON: {exc}") from exc

@@ -4,17 +4,18 @@ A square skew matrix N with entries linear in y0..y(m-1) and an n x m
 pencil M with entries linear in x0..x(n-1) are two slices of one tensor
 (a^k_{i,j}); ``tensor_flip`` and ``tensor_unflip`` convert between them.
 Scalar Pfaffians come from skew elimination in O(n^3), fraction-free on
-integers.  Polynomial Pfaffians and sub-Pfaffians are evaluated at the
-points of the principal lattice (y0 = 1, the other coordinates
-non-negative integers of sum at most the degree) and interpolated by
-Newton forward differences.  Over QQ the pencil's denominators are
-cleared first; over F_p with p at most the degree the entries are lifted
-to integers and the exact result is reduced mod p.
+integers; the same elimination, run on an odd matrix bordered by a row
+and a column of unknowns, gives all its sub-Pfaffians at once.
+Polynomial Pfaffians and sub-Pfaffians are evaluated at the points of
+the principal lattice (y0 = 1, the other coordinates non-negative
+integers of sum at most the degree) and interpolated by Newton forward
+differences.  Over QQ the pencil's denominators are cleared first; over
+F_p with p at most the degree the entries are lifted to integers and the
+exact result is reduced mod p.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Sequence
 
@@ -27,8 +28,8 @@ from .errors import (
     OddOrder,
     UsageError,
 )
-from .fields import Field, json_int
-from .linalg import Matrix, kernel_basis
+from .fields import Field, check_size
+from .linalg import Matrix
 from .rings import Alphabet, HomogPoly, format_poly, mono_index, monomials, parse_poly
 
 
@@ -101,33 +102,47 @@ def skew_linear(entries: Sequence[Sequence[HomogPoly]] | PolyMatrix) -> PolyMatr
 # -- pfaffian core --------------------------------------------------------
 
 
-def _pfaffian(a: list[list[int]], p: int | None) -> int:
-    """Pfaffian of an even-order skew matrix of ints, exact or mod ``p``.
+def _pfaffian(a: list[list[int]], p: int | None) -> list[int]:
+    """Pfaffian coefficients of a skew matrix of ints, exact or mod ``p``.
 
-    Skew elimination, one 2 x 2 block per step.  With pivot ``E[0][1]``,
-    rows ``u = E[0]`` and ``w = E[1]`` and the previous pivot ``prev``
-    (1 at the start), the remaining block becomes
+    Even order: ``[pf(a)]``.  Odd order n: the ``s_i = (-1)^i pf(a without
+    row and column i)`` with ``pf([[a, z], [-z^T, 0]]) = sum_i s_i z_i``;
+    row i carries the z-coefficients of its border entry as n extra
+    columns, e_i at the start.
+
+    Skew elimination, one 2 x 2 block per step.  Symmetric swaps, each
+    flipping the sign, move the first nonzero entry of the square part to
+    (0, 1).  With pivot ``E[0][1]``, rows ``u = E[0]`` and ``w = E[1]``
+    and the previous pivot ``prev`` (1 at the start), every other row,
+    extra columns included, becomes
 
         E'[i][j] = (E[0][1] * E[i][j] + w_i u_j - u_i w_j) / prev.
 
     Every entry of every E is, up to sign, the Pfaffian of a principal
-    submatrix of the input, so on integers the division is exact and the
-    loop is fraction-free; mod ``p`` it is a multiplication by an inverse.
-    The Pfaffian is the last pivot, signed by the index swaps; a zero
-    first row makes it 0.  The rows of ``a`` are consumed.
+    submatrix of the bordered input, so on integers the division is
+    exact and the loop is fraction-free; mod ``p`` it is a multiplication
+    by an inverse.  The result, signed by the swaps, is the last pivot or
+    the last row's extra columns; an all-zero square part gives 0.  The
+    rows of ``a`` are consumed.
     """
+    n = len(a)
+    if n % 2:
+        for i, row in enumerate(a):
+            row.extend(int(i == k) for k in range(n))
     sign = 1
     prev = 1
-    while a:
+    while len(a) > 1:
+        r = len(a)
+        ij = next(((i, j) for i in range(r) for j in range(i + 1, r) if a[i][j]), None)
+        if ij is None:
+            return [0] * (n if n % 2 else 1)
+        for s, t in enumerate(ij):
+            if s != t:
+                a[s], a[t] = a[t], a[s]
+                for row in a:
+                    row[s], row[t] = row[t], row[s]
+                sign = -sign
         u = a[0]
-        j = next((j for j in range(1, len(u)) if u[j]), None)
-        if j is None:
-            return 0
-        if j != 1:
-            a[1], a[j] = a[j], a[1]
-            for row in a:
-                row[1], row[j] = row[j], row[1]
-            sign = -sign
         piv = u[1]
         u2, w2 = u[2:], a[1][2:]
         if p is None:
@@ -142,33 +157,8 @@ def _pfaffian(a: list[list[int]], p: int | None) -> int:
                 for row, ui, wi in zip(a[2:], u2, w2)
             ]
         prev = piv
-    return sign * prev if p is None else sign * prev % p
-
-
-def _minor(a: list[list[int]], i: int) -> list[list[int]]:
-    """``a`` without row and column ``i`` (a new matrix)."""
-    return [row[:i] + row[i + 1 :] for k, row in enumerate(a) if k != i]
-
-
-def _signed_sub_pfaffians_at(a: list[list[int]], p: int | None, field: Field) -> list[int]:
-    """``s_i = (-1)^i pf(a without row and column i)`` for odd-order ``a``.
-
-    Mod ``p`` this uses the corank-1 identity: ``a s = 0``, so when the
-    kernel is a line spanned by ``v``, ``s = (s_f / v_f) v`` for any
-    ``f`` with ``v_f != 0``, and one scalar Pfaffian gives all of ``s``;
-    when the corank is 3 or more every ``s_i`` is 0.  On integers it
-    takes the n scalar Pfaffians, which need no division.
-    """
-    n = len(a)
-    if p is None:
-        return [(-1) ** i * _pfaffian(_minor(a, i), None) for i in range(n)]
-    ker = kernel_basis(Matrix(field, a, n))
-    if ker.ncols > 1:
-        return [0] * n
-    v = ker.column(0)
-    f = next(i for i, x in enumerate(v) if x)
-    scale = (-1) ** f * _pfaffian(_minor(a, f), p) * pow(v[f], -1, p)
-    return [scale * x % p for x in v]
+    out = [sign * x for x in (a[0][1:] if a else [prev])]
+    return out if p is None else [x % p for x in out]
 
 
 def _lattice_lines(nvars: int, deg: int) -> list[list[list[int]]]:
@@ -251,19 +241,15 @@ def _lattice_forms(pm: PolyMatrix, half: int, at_point) -> list[HomogPoly]:
     ``deg!^(nvars-1) L^half``.  Mod a prime ``p <= deg`` the entries are
     lifted to integers, the integer path runs, and the exact integer
     coefficients are reduced mod ``p``: the Pfaffian is an integer
-    polynomial in the entries.
+    polynomial in the entries.  An F_p scalar is an int, whose
+    denominator is 1, so ``L`` is 1 there.
     """
     field = pm.field
     nvars = pm.alphabet.nvars
     deg = pm.degree * half
-    p = field.p
-    if p is None:
-        scale = lcm(*(c.denominator for row in pm.entries for q in row for c in q.coeffs))
-        lift = lambda c: c.numerator * (scale // c.denominator)
-    else:
-        scale = 1
-        lift = lambda c: c
-    mod = p if p is not None and p > deg else None
+    scale = lcm(*(c.denominator for row in pm.entries for q in row for c in q.coeffs))
+    lift = lambda c: c.numerator * (scale // c.denominator)
+    mod = field.p if field.p is not None and field.p > deg else None
     # the pencil as sum_k m_k(y) A_k over the monomials m_k of the entry
     # degree; each A_k is built from the upper triangle, so that a lift
     # from F_p is skew over the integers
@@ -292,14 +278,11 @@ def _lattice_forms(pm: PolyMatrix, half: int, at_point) -> list[HomogPoly]:
         values.append(at_point(a, mod))
     _interpolate(values, nvars, deg, mod)
     denom = factorial(deg) ** (nvars - 1)
-    if mod is not None:
-        inv = pow(denom, -1, mod)
-        coeff = lambda v: v * inv % mod
-    elif p is None:
-        denom *= scale**half
-        coeff = lambda v: Fraction(v, denom)
-    else:
-        coeff = lambda v: v // denom % p
+    if mod is None:  # exact integer values, each a multiple of denom
+        values = [[v // denom for v in vec] for vec in values]
+        denom = 1
+    inv = field.inv(field.from_int(denom * scale**half))
+    coeff = lambda v: field.mul(field.from_int(v), inv)
     return [
         HomogPoly(pm.alphabet, deg, field, [coeff(vec[c]) for vec in values])
         for c in range(len(values[0]))
@@ -318,7 +301,7 @@ def pfaffian_poly(pm: PolyMatrix, check: bool = True) -> HomogPoly:
         raise OddOrder("pfaffian needs even order")
     if check and not is_skew_matrix(pm):
         raise NotSkew("pfaffian of a non-skew matrix")
-    (pf,) = _lattice_forms(pm, pm.nrows // 2, lambda a, p: [_pfaffian(a, p)])
+    (pf,) = _lattice_forms(pm, pm.nrows // 2, _pfaffian)
     return pf
 
 
@@ -336,11 +319,11 @@ def pfaffian_scalar(mat: Matrix, check: bool = True):
             for j in range(i + 1, mat.ncols):
                 if mat.rows[i][j] != field.neg(mat.rows[j][i]):
                     raise NotSkew("matrix is not skew-symmetric")
-    if field.p is not None:
-        return _pfaffian([row[:] for row in mat.rows], field.p)
+    # over QQ the denominators are cleared; an F_p scalar is an int, of denominator 1
     scale = lcm(*(c.denominator for row in mat.rows for c in row))
     ints = [[c.numerator * (scale // c.denominator) for c in row] for row in mat.rows]
-    return Fraction(_pfaffian(ints, None), scale ** (mat.nrows // 2))
+    (pf,) = _pfaffian(ints, field.p)
+    return field.div(field.from_int(pf), scale ** (mat.nrows // 2))
 
 
 def sub_pfaffians(
@@ -359,12 +342,7 @@ def sub_pfaffians(
         raise EvenOrder("sub-Pfaffian vector needs odd order")
     if check and not is_skew_matrix(pm):
         raise NotSkew("sub-Pfaffians of a non-skew matrix")
-    field = pm.field
-    signed = tuple(
-        _lattice_forms(
-            pm, pm.nrows // 2, lambda a, p: _signed_sub_pfaffians_at(a, p, field)
-        )
-    )
+    signed = tuple(_lattice_forms(pm, pm.nrows // 2, _pfaffian))
     pfs = tuple(q if i % 2 == 0 else -q for i, q in enumerate(signed))
     return pfs, signed
 
@@ -491,8 +469,9 @@ def poly_matrix_from_json(obj: dict) -> PolyMatrix:
     try:
         kind = obj["kind"]
         field = Field.from_json(obj["field"])
-        alphabet = Alphabet(str(obj["alphabet"]), json_int(obj["nvars"], "nvars"))
-        degree = json_int(obj["degree"], "degree")
+        alphabet = Alphabet(str(obj["alphabet"]), check_size(obj["nvars"], "nvars"))
+        degree = check_size(obj["degree"], "degree")
+        check_size(len(obj["entries"]), "matrix order")
         entries = [
             [parse_poly(t, alphabet, field, degree) for t in row] for row in obj["entries"]
         ]

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
 from skewlab import GF, InternalError, d_vars, parse_poly, poly_matrix_to_json, poly_to_json
 from skewlab.cli import main
+from skewlab.fields import MAX_ORDER
 
 from conftest import norm_form_pencil
 
@@ -200,6 +202,16 @@ PINNED_OUTPUTS = [
         ("sample", "--m", "3", "--n", "6", "--p", "101", "--seed", "1", "--trials", "3"),
         "8b13f47c695f656e38319695a3cda184003c35e8b3a2568d44f3aaf9b0869d60",
     ),
+    # odd order over QQ: integer sub-Pfaffians, rational evaluation and 3 x 3 minors
+    (
+        ("sample", "--m", "3", "--n", "9", "--field", "q", "--seed", "1", "--trials", "3"),
+        "c9ee8c7d983eea74e52b2ec1b1d4ab771dcc1eb175a3aca043d0b7791e44ea80",
+    ),
+    # odd order over F_3, where the lattice needs the integer lift
+    (
+        ("sample", "--m", "3", "--n", "9", "--p", "3", "--seed", "1", "--trials", "3"),
+        "4b658735d45d3c0c887ffdabd76c94c2fd92414cd4f311c0422e08180ccde480",
+    ),
 ]
 
 
@@ -209,6 +221,61 @@ def test_small_prime_sampling_output_is_pinned(tmp_path, argv, digest):
     code, raw = run(tmp_path, *argv)
     assert code == 0
     assert hashlib.sha256(raw).hexdigest() == digest
+
+
+# Inputs beyond MAX_ORDER: each is refused before anything is built.
+OVERSIZED_ARGV = [
+    ["correspond", "from-matrix", "--n", "1000001", "--seed", "1"],
+    ["random", "--m", "3", "--n", "100001", "--seed", "1"],
+    ["random", "--m", "42", "--n", "45", "--seed", "1"],
+    ["project", "--n", "43", "--seed", "1"],
+    ["sample", "--m", "3", "--n", "1001", "--seed", "1", "--trials", "1"],
+    ["cohomology", "--m", "3", "--n", "2001"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_ARGV, ids=lambda a: "-".join(a[:3]))
+def test_oversized_flags_exit_two_at_once(capsys, argv):
+    start = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert f"at most {MAX_ORDER}" in err and "Traceback" not in err
+
+
+OVERSIZED_FORMS = [
+    ("degree", {"nvars": 3, "degree": 10**9, "terms": [[1, [10**9, 0, 0]]]}),
+    ("degree", {"nvars": 3, "degree": 200, "terms": [[1, [200 - k, k, 0]] for k in range(3)]}),
+    ("nvars", {"nvars": 1000, "degree": 1, "terms": [[1, [1] + [0] * 999]]}),
+]
+
+
+@pytest.mark.parametrize(
+    "key, form", OVERSIZED_FORMS, ids=["degree-1e9", "degree-200", "nvars-1000"]
+)
+def test_oversized_form_file_exits_two_at_once(tmp_path, capsys, key, form):
+    form_file = tmp_path / "form.json"
+    form_file.write_text(json.dumps(dict(form, alphabet="D", field={"kind": "fp", "p": 32003})))
+    start = time.monotonic()
+    assert main(["correspond", "from-form", "--in", str(form_file)]) == 2
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert f"{key} must be at most {MAX_ORDER}" in err and "Traceback" not in err
+
+
+def test_oversized_matrix_file_exits_two(tmp_path, capsys):
+    doc = run_json(tmp_path, "random", "--m", "3", "--n", "5", "--seed", "1")
+    zero_rows = [["0"] * (MAX_ORDER + 1) for _ in range(MAX_ORDER + 1)]
+    matrix_file = tmp_path / "matrix.json"
+    matrix_file.write_text(json.dumps(dict(doc["matrix"], entries=zero_rows)))
+    capsys.readouterr()
+    assert main(["sample", "--seed", "1", "--in", str(matrix_file)]) == 2
+    assert "matrix order must be at most" in capsys.readouterr().err
+
+
+def test_ledger_is_not_capped(tmp_path):
+    doc = run_json(tmp_path, "ledger", "--m", "3", "--n", "1001")
+    assert doc["ledger"]["identity_ok"] is True
 
 
 def test_malformed_field_modulus_exits_two(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Field arithmetic and exact dense linear algebra, cross-checked with sympy."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from skewlab import (
     rref,
     solve,
 )
+from skewlab import apolarity, cli, cohomology, correspond, degeneracy, linalg, rings
 from skewlab.randomness import random_invertible
 
 
@@ -94,6 +96,22 @@ def test_scalar_text_roundtrip():
     for f, values in ((QQ, [Fraction(-3, 7), Fraction(5)]), (GF(11), [0, 1, 10])):
         for v in values:
             assert f.parse_scalar(f.format_scalar(v)) == v
+
+
+def test_field_axpy_reduces():
+    assert GF(7).axpy(3, [1, 6], [2, 5]) == [0, 0]
+    assert QQ.axpy(Fraction(1, 2), [Fraction(1)], [Fraction(3)]) == [Fraction(5, 2)]
+
+
+@pytest.mark.parametrize(
+    "module",
+    [linalg, rings, apolarity, degeneracy, correspond, cohomology, cli],
+    ids=lambda m: m.__name__,
+)
+def test_only_field_tells_the_fields_apart(module):
+    # these modules reduce scalars through Field and never ask which field it is
+    source = inspect.getsource(module)
+    assert "p is None" not in source and "p is not None" not in source
 
 
 def test_field_json_roundtrip():

@@ -304,6 +304,14 @@ def test_degenerate_pencils_match_matching_sums():
             pfs, _ = sub_pfaffians(pm)
             assert pfs == sub_pfaffians_by_matchings(pm)
             assert pfs[0].is_zero() and not pfs[1].is_zero()
+            # exactly one zero row, first row 0 and then a middle row: the
+            # pivot search must look past it, and only its own entry
+            # survives
+            for r in (0, n // 2):
+                pm = pencil_with_zeros(n, field, rng, lambda i, j, r=r: r in (i, j))
+                pfs, _ = sub_pfaffians(pm)
+                assert pfs == sub_pfaffians_by_matchings(pm)
+                assert [i for i, q in enumerate(pfs) if not q.is_zero()] == [r]
         one = HomogPoly(y_vars(), 0, field, [field.one])
         for pm in (
             skew_linear([[zero] * 6 for _ in range(6)]),
