@@ -223,9 +223,7 @@ def form_to_matrix(form: HomogPoly) -> tuple[PolyMatrix, Certificate]:
     vec = q_space.column(0)
     q = Matrix(field, [vec[r * n : (r + 1) * n] for r in range(n)], n)
     products = [q.mul(t).rows for t in layers]
-    coeffs = [[[nk[i][j] for nk in products] for j in range(n)] for i in range(n)]
-    y_alph = form.alphabet.dual()
-    pencil = skew_linear([[HomogPoly(y_alph, 1, field, c) for c in row] for row in coeffs])
+    pencil = skew_linear(PolyMatrix(form.alphabet.dual(), 1, field, products))
 
     pfs, _signed = sub_pfaffians(pencil, check=False)
     span = GradedSlice.from_polys(pfs)

@@ -14,6 +14,7 @@ from typing import Sequence
 from .errors import DegenerateForm, InternalError, UsageError
 from .fields import Field
 from .rings import Alphabet, HomogPoly, dim_homog
+from .skew import PolyMatrix
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -80,26 +81,21 @@ def random_point(nvars: int, field: Field, rng: SplitMix64) -> tuple:
     raise InternalError("failed to draw a nonzero point")  # pragma: no cover
 
 
-def random_linear_form(alphabet: Alphabet, field: Field, rng: SplitMix64) -> HomogPoly:
-    return random_form(alphabet, 1, field, rng)
-
-
-def random_skew_linear(n: int, m: int, field: Field, rng: SplitMix64):
+def random_skew_linear(n: int, m: int, field: Field, rng: SplitMix64) -> PolyMatrix:
     """Random skew matrix of linear forms in ``m`` base variables.
 
     Entries above the diagonal are drawn row-major, each as a dense
-    linear form; the lower triangle mirrors with a sign, the diagonal is
-    zero. Returns the entry grid (list of lists of ``HomogPoly``).
+    linear form (its ``m`` coefficients in variable order); the lower
+    triangle mirrors with a sign, the diagonal is zero. Returns the
+    ``PolyMatrix``.
     """
-    alphabet = Alphabet("Y", m)
-    zero = HomogPoly.zero(alphabet, 1, field)
-    entries = [[zero for _ in range(n)] for _ in range(n)]
+    layers = [[[field.zero] * n for _ in range(n)] for _ in range(m)]
     for i in range(n):
         for j in range(i + 1, n):
-            f = random_linear_form(alphabet, field, rng)
-            entries[i][j] = f
-            entries[j][i] = -f
-    return entries
+            for a in layers:
+                a[i][j] = random_scalar(field, rng)
+                a[j][i] = field.neg(a[i][j])
+    return PolyMatrix(Alphabet("Y", m), 1, field, layers)
 
 
 def random_scalar_skew(n: int, field: Field, rng: SplitMix64):

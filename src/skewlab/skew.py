@@ -34,12 +34,31 @@ from .rings import Alphabet, HomogPoly, format_poly, mono_index, monomials, pars
 
 
 class PolyMatrix:
-    """Rectangular matrix of homogeneous polynomials of one degree."""
+    """Rectangular matrix of homogeneous polynomials of one degree.
 
-    __slots__ = ("nrows", "ncols", "entries", "alphabet", "degree", "field")
+    Stored as coefficient layers: ``layers[k]`` is the scalar matrix of
+    the coefficients of the k-th grlex monomial of the entry degree, so
+    the matrix is ``sum_k m_k layers[k]``.  A skew pencil in y0..y(m-1)
+    is its m skew forms; the flipped pencil has one layer per x_i.
+    """
 
-    def __init__(self, entries: Sequence[Sequence[HomogPoly]]):
-        entries = tuple(tuple(row) for row in entries)
+    __slots__ = ("alphabet", "degree", "field", "layers", "nrows", "ncols")
+
+    def __init__(self, alphabet: Alphabet, degree: int, field: Field, layers: Sequence):
+        layers = [[list(row) for row in layer] for layer in layers]
+        if len(layers) != len(monomials(alphabet.nvars, degree)):
+            raise DegreeMismatch("one coefficient layer per monomial is needed")
+        self.alphabet = alphabet
+        self.degree = degree
+        self.field = field
+        self.layers = layers
+        self.nrows = len(layers[0])
+        self.ncols = len(layers[0][0])
+
+    @classmethod
+    def from_entries(cls, entries: Sequence[Sequence[HomogPoly]]) -> "PolyMatrix":
+        """The matrix of a grid of polynomials of one alphabet, field and degree."""
+        entries = [list(row) for row in entries]
         if not entries or not entries[0]:
             raise UsageError("empty polynomial matrix")
         ncols = len(entries[0])
@@ -54,44 +73,42 @@ class PolyMatrix:
                     raise UsageError("mixed fields in one matrix")
                 if q.degree != first.degree:
                     raise DegreeMismatch("mixed degrees in one matrix")
-        self.entries = entries
-        self.nrows = len(entries)
-        self.ncols = ncols
-        self.alphabet = first.alphabet
-        self.degree = first.degree
-        self.field = first.field
+        layers = [[[q.coeffs[k] for q in row] for row in entries] for k in range(len(first.coeffs))]
+        return cls(first.alphabet, first.degree, first.field, layers)
 
     def entry(self, i: int, j: int) -> HomogPoly:
-        return self.entries[i][j]
+        return HomogPoly(self.alphabet, self.degree, self.field, [a[i][j] for a in self.layers])
 
-    def row(self, i: int) -> tuple[HomogPoly, ...]:
-        return self.entries[i]
+    @property
+    def entries(self) -> tuple[tuple[HomogPoly, ...], ...]:
+        return tuple(tuple(self.entry(i, j) for j in range(self.ncols)) for i in range(self.nrows))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PolyMatrix) and other.entries == self.entries
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash(self.entries)
+        return (
+            isinstance(other, PolyMatrix)
+            and other.alphabet == self.alphabet
+            and other.degree == self.degree
+            and other.field == self.field
+            and other.layers == self.layers
+        )
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.nrows}x{self.ncols}, deg={self.degree}, {self.alphabet.key})"
 
 
 def is_skew_matrix(pm: PolyMatrix) -> bool:
-    if pm.nrows != pm.ncols:
-        return False
-    for i in range(pm.nrows):
-        if not pm.entries[i][i].is_zero():
-            return False
-        for j in range(i + 1, pm.ncols):
-            if pm.entries[i][j] != -pm.entries[j][i]:
-                return False
-    return True
+    n = pm.nrows
+    neg = pm.field.neg
+    return n == pm.ncols and all(
+        a[i][i] == 0 and all(a[i][j] == neg(a[j][i]) for j in range(i + 1, n))
+        for a in pm.layers
+        for i in range(n)
+    )
 
 
 def skew_linear(entries: Sequence[Sequence[HomogPoly]] | PolyMatrix) -> PolyMatrix:
     """Validated skew matrix of linear forms."""
-    pm = entries if isinstance(entries, PolyMatrix) else PolyMatrix(entries)
+    pm = entries if isinstance(entries, PolyMatrix) else PolyMatrix.from_entries(entries)
     if pm.degree != 1:
         raise DegreeMismatch("skew pencil entries must be linear forms")
     if not is_skew_matrix(pm):
@@ -229,6 +246,16 @@ def _interpolate(values: list[list[int]], nvars: int, deg: int, p: int | None) -
                 values[line[k]] = acc if p is None else [s % p for s in acc]
 
 
+def _at_point(layers: Sequence, monos: Sequence[tuple[int, ...]], point: Sequence) -> list[list]:
+    """``sum_k m_k(point) layers[k]``, unreduced, for the monomials ``m_k``."""
+    out = [[0] * len(layers[0][0]) for _ in layers[0]]
+    for m, layer in zip(monos, layers):
+        c = prod(x**e for x, e in zip(point, m))
+        if c:
+            out = [[s + c * x for s, x in zip(row, lrow)] for row, lrow in zip(out, layer)]
+    return out
+
+
 def _lattice_forms(pm: PolyMatrix, half: int, at_point) -> list[HomogPoly]:
     """Forms of degree ``half * pm.degree`` from their lattice values.
 
@@ -247,35 +274,21 @@ def _lattice_forms(pm: PolyMatrix, half: int, at_point) -> list[HomogPoly]:
     field = pm.field
     nvars = pm.alphabet.nvars
     deg = pm.degree * half
-    scale = lcm(*(c.denominator for row in pm.entries for q in row for c in q.coeffs))
+    scale = lcm(*(c.denominator for a in pm.layers for row in a for c in row))
     lift = lambda c: c.numerator * (scale // c.denominator)
     mod = field.p if field.p is not None and field.p > deg else None
-    # the pencil as sum_k m_k(y) A_k over the monomials m_k of the entry
-    # degree; each A_k is built from the upper triangle, so that a lift
-    # from F_p is skew over the integers
+    # each layer is lifted from its upper triangle, so that a lift from
+    # F_p is skew over the integers
     n = pm.nrows
+    layers = [
+        [[lift(a[i][j]) if i <= j else -lift(a[j][i]) for j in range(n)] for i in range(n)]
+        for a in pm.layers
+    ]
     entry_monos = monomials(nvars, pm.degree)
-    layers = []
-    for k in range(len(entry_monos)):
-        layer = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                c = lift(pm.entries[i][j].coeffs[k])
-                layer[i][j] = c
-                layer[j][i] = -c
-        layers.append(layer)
     values = []
     for expo in monomials(nvars, deg):
-        point = (1,) + expo[1:]
-        weights = [prod(x**e for x, e in zip(point, m)) for m in entry_monos]
-        a = []
-        for i in range(n):
-            row = [0] * n
-            for c, layer in zip(weights, layers):
-                if c:
-                    row = [s + c * x for s, x in zip(row, layer[i])]
-            a.append(row if mod is None else [s % mod for s in row])
-        values.append(at_point(a, mod))
+        a = _at_point(layers, entry_monos, (1,) + expo[1:])
+        values.append(at_point(a if mod is None else [[s % mod for s in row] for row in a], mod))
     _interpolate(values, nvars, deg, mod)
     denom = factorial(deg) ** (nvars - 1)
     if mod is None:  # exact integer values, each a multiple of denom
@@ -354,21 +367,12 @@ def tensor_flip(pm: PolyMatrix) -> PolyMatrix:
     """Skew n x n matrix over y0..y(m-1) -> n x m pencil over x0..x(n-1).
 
     Writing N[i][j] = sum_k a^k_{i,j} y_k, the flip is
-    M[j][k] = sum_i a^k_{i,j} x_i.
+    M[j][k] = sum_i a^k_{i,j} x_i: layer i of M is row i of the layers of N.
     """
     skew_linear(pm)
     n = pm.nrows
-    m = pm.alphabet.nvars
-    field = pm.field
-    x_alph = Alphabet("X", n)
-    out = []
-    for j in range(n):
-        row = []
-        for k in range(m):
-            coeffs = [pm.entries[i][j].coeffs[k] for i in range(n)]
-            row.append(HomogPoly(x_alph, 1, field, coeffs))
-        out.append(row)
-    return PolyMatrix(out)
+    layers = [[[a[i][j] for a in pm.layers] for j in range(n)] for i in range(n)]
+    return PolyMatrix(Alphabet("X", n), 1, pm.field, layers)
 
 
 def tensor_unflip(pm: PolyMatrix) -> PolyMatrix:
@@ -381,16 +385,8 @@ def tensor_unflip(pm: PolyMatrix) -> PolyMatrix:
     if pm.alphabet.nvars != n:
         raise DegreeMismatch("pencil needs as many x variables as rows")
     m = pm.ncols
-    field = pm.field
-    y_alph = Alphabet("Y", m)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            coeffs = [pm.entries[j][k].coeffs[i] for k in range(m)]
-            row.append(HomogPoly(y_alph, 1, field, coeffs))
-        out.append(row)
-    return skew_linear(out)
+    layers = [[[pm.layers[i][j][k] for j in range(n)] for i in range(n)] for k in range(m)]
+    return skew_linear(PolyMatrix(Alphabet("Y", m), 1, pm.field, layers))
 
 
 # -- evaluation and products ---------------------------------------------------
@@ -398,8 +394,11 @@ def tensor_unflip(pm: PolyMatrix) -> PolyMatrix:
 
 def evaluate_matrix(pm: PolyMatrix, point: Sequence) -> Matrix:
     """Scalar matrix of entry values at a point."""
-    rows = [[q.evaluate(point) for q in row] for row in pm.entries]
-    return Matrix(pm.field, rows, pm.ncols)
+    if len(point) != pm.alphabet.nvars:
+        raise DegreeMismatch("point has wrong length")
+    f = pm.field
+    a = _at_point(pm.layers, monomials(pm.alphabet.nvars, pm.degree), point)
+    return Matrix(f, [[f.from_int(s) for s in row] for row in a], pm.ncols)
 
 
 def mat_vec_poly(pm: PolyMatrix, vec: Sequence[HomogPoly]) -> list[HomogPoly]:
@@ -425,15 +424,10 @@ def congruence(pm: PolyMatrix, p_mat: Matrix) -> PolyMatrix:
     """
     if p_mat.nrows != pm.nrows or p_mat.ncols != pm.nrows:
         raise DegreeMismatch("congruence needs a square matrix of matching order")
-    field = pm.field
-    n = pm.nrows
+    f = pm.field
     p_t = p_mat.transpose()
-    layers = []
-    for k in range(len(pm.entries[0][0].coeffs)):
-        a_k = Matrix(field, [[q.coeffs[k] for q in row] for row in pm.entries])
-        layers.append(p_t.mul(a_k).mul(p_mat).rows)
-    coeffs = [[[a[i][j] for a in layers] for j in range(n)] for i in range(n)]
-    return PolyMatrix([[HomogPoly(pm.alphabet, pm.degree, field, c) for c in r] for r in coeffs])
+    layers = [p_t.mul(Matrix(f, a)).mul(p_mat).rows for a in pm.layers]
+    return PolyMatrix(pm.alphabet, pm.degree, f, layers)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -477,7 +471,7 @@ def poly_matrix_from_json(obj: dict) -> PolyMatrix:
         ]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad matrix JSON: {exc}") from exc
-    pm = PolyMatrix(entries)
+    pm = PolyMatrix.from_entries(entries)
     if kind == "skew-linear":
         return skew_linear(pm)
     if kind == "pencil":

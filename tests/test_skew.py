@@ -417,7 +417,7 @@ def test_congruence_pfaffian_scaling():
     linear = skew_linear(random_skew_linear(6, 3, field, rng))
     ell = parse_poly("2*y0 - y1 + 5*y2", y_vars(), QQ)
     rational = pencil_with_denominators(6, rng)
-    quadric = PolyMatrix([[q * ell for q in row] for row in rational.entries])
+    quadric = PolyMatrix.from_entries([[q * ell for q in row] for row in rational.entries])
     for pm in (linear, rational, quadric):
         p = random_invertible(6, pm.field, rng)
         moved = congruence(pm, p)
