@@ -41,7 +41,7 @@ from .errors import (
     RangeError,
     UsageError,
 )
-from .fields import GF, QQ, Field, check_size
+from .fields import GF, MAX_TRIALS, QQ, Field, check_size
 from .randomness import (
     SplitMix64,
     describe,
@@ -66,6 +66,11 @@ def _field_from_args(args) -> Field:
 def _require_seed_or_input(args) -> None:
     if args.infile is None and args.seed is None:
         raise UsageError("need --in FILE or --seed N")
+
+
+def _require_three_base_variables(args) -> None:
+    if args.m is not None and args.m != 3:
+        raise RangeError(f"{args.command} needs three base variables, got --m {args.m}")
 
 
 def _config_stanza(args, field: Field) -> dict:
@@ -137,6 +142,7 @@ def cmd_random(args) -> dict:
 def cmd_correspond(args) -> dict:
     field = _field_from_args(args)
     _require_seed_or_input(args)
+    _require_three_base_variables(args)
     payload: dict = {
         "command": "correspond",
         "direction": args.direction,
@@ -176,6 +182,7 @@ def cmd_correspond(args) -> dict:
 def cmd_project(args) -> dict:
     field = _field_from_args(args)
     _require_seed_or_input(args)
+    _require_three_base_variables(args)
     if args.infile is not None:
         g = poly_from_json(_load_json(args.infile))
     else:
@@ -206,6 +213,8 @@ def cmd_sample(args) -> dict:
     _require_seed_or_input(args)
     if args.trials < 1:
         raise RangeError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise RangeError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     pm = _input_or_seeded_skew(args, field)
     n = pm.nrows
     count = args.trials
@@ -293,11 +302,8 @@ def cmd_cohomology(args) -> dict | str:
         raise UsageError("cohomology needs --m and --n (or --grid)")
     m, n = args.m, args.n
     tables = closed_form_tables(m, n)
-    agree = agreement(m, n)
-    chases = {
-        twist: sheaf_chase(m, n, twist).to_json()
-        for twist in ("plain", "u1", "omega2-u1")
-    }
+    chases = {twist: sheaf_chase(m, n, twist) for twist in ("plain", "u1", "omega2-u1")}
+    agree = agreement(m, n, chases)
     led = dimension_ledger(m, n)
     return {
         "command": "cohomology",
@@ -314,7 +320,7 @@ def cmd_cohomology(args) -> dict | str:
             }
             for k, v in agree.items()
         },
-        "chases": chases,
+        "chases": {k: v.to_json() for k, v in chases.items()},
         "ledger": led.to_json(),
     }
 

@@ -220,9 +220,6 @@ class AffineForm:
     __repr__ = __str__
 
 
-_INF = float("inf")
-
-
 class ChaseContext:
     """Bound bookkeeping for the rank variables created during a chase.
 
@@ -231,6 +228,7 @@ class ChaseContext:
     upper bound the variable is never created: the bound itself is
     returned, which is what lets colliding terms cancel symbolically at
     later stages.  ``solve`` runs interval propagation to a fixpoint.
+    Bounds are integers, and ``None`` stands for an unbounded side.
     """
 
     def __init__(self):
@@ -250,20 +248,17 @@ class ChaseContext:
         self._count += 1
         self._lo[name] = lo
         self._hi[name] = hi
-        self._box[name] = [0, _INF]
+        self._box[name] = [0, None]
         return AffineForm.var(name)
 
     def _span(self, form: AffineForm) -> tuple:
-        lo = form.const
-        hi = form.const
+        lo = hi = form.const
         for name, c in form.coeffs.items():
-            blo, bhi = self._box[name]
-            if c > 0:
-                lo += c * blo
-                hi += c * bhi if bhi is not _INF else _INF
-            else:
-                lo += c * bhi if bhi is not _INF else -_INF
-                hi += c * blo
+            ends = [None if b is None else c * b for b in self._box[name]]
+            if c < 0:
+                ends.reverse()
+            lo = None if lo is None or ends[0] is None else lo + ends[0]
+            hi = None if hi is None or ends[1] is None else hi + ends[1]
         return lo, hi
 
     def solve(self) -> None:
@@ -272,15 +267,15 @@ class ChaseContext:
             for name, box in self._box.items():
                 for f in self._lo[name]:
                     flo, _ = self._span(f)
-                    if flo > box[0]:
+                    if flo is not None and flo > box[0]:
                         box[0] = flo
                         changed = True
                 for f in self._hi[name]:
                     _, fhi = self._span(f)
-                    if fhi < box[1]:
+                    if fhi is not None and (box[1] is None or fhi < box[1]):
                         box[1] = fhi
                         changed = True
-                if box[0] > box[1]:
+                if box[1] is not None and box[0] > box[1]:
                     raise InternalError(f"infeasible chase bounds for {name}")
             if not changed:
                 return
@@ -288,7 +283,7 @@ class ChaseContext:
 
     def interval(self, form) -> tuple[int, int]:
         lo, hi = self._span(AffineForm.of(form))
-        if hi is _INF or lo == -_INF:
+        if lo is None or hi is None:
             raise InternalError("unbounded chase interval")
         return int(lo), int(hi)
 
@@ -441,11 +436,12 @@ def closed_form_tables(m: int, n: int) -> dict[str, tuple[int, ...]]:
     }
 
 
-def agreement(m: int, n: int) -> dict[str, dict]:
+def agreement(m: int, n: int, chases: dict[str, ChaseResult] | None = None) -> dict[str, dict]:
     """Chase-versus-closed-form comparison for the three tables.
 
     The ``twist`` chase computes a single summand, so it is scaled by m
-    before comparison.
+    before comparison.  ``chases`` maps each twist name to its
+    ``sheaf_chase``, when the caller has run them already.
     """
     tables = closed_form_tables(m, n)
     out = {}
@@ -454,7 +450,7 @@ def agreement(m: int, n: int) -> dict[str, dict]:
         ("twist", "u1", m),
         ("omega", "omega2-u1", 1),
     ):
-        chase = sheaf_chase(m, n, twist_name)
+        chase = chases[twist_name] if chases else sheaf_chase(m, n, twist_name)
         intervals = tuple((scale * lo, scale * hi) for lo, hi in chase.intervals)
         exact = all(lo == hi for lo, hi in intervals)
         vector = tuple(lo for lo, _ in intervals) if exact else None

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .fields import Field
 from .linalg import Matrix, inverse, kernel_basis
-from .rings import GradedSlice, HomogPoly, dim_homog, mono_index, slices_equal
+from .rings import GradedSlice, HomogPoly, dim_homog, mono_index, slice_of_products, slices_equal
 from .skew import PolyMatrix, congruence, skew_linear, sub_pfaffians
 
 
@@ -92,7 +92,12 @@ def _build_certificate(
         "hilbert_symmetric": all(h[d] == h[k - d] for d in range(k + 1)),
         "hilbert_maximal": all(h[d] == dim_homog(3, d) for d in range(k // 2 + 1)),
         "socle_dim": h[k] == 1,
-        "perp_full_above_degree": perp_slice(form, n - 2).dim == dim_homog(3, n - 2),
+        # the generators times linear forms span the annihilator one
+        # degree up; the key name is kept, since certificates are compared
+        # byte for byte
+        "perp_full_above_degree": slices_equal(
+            slice_of_products(span, gen_deg + 1), perp_slice(form, gen_deg + 1)
+        ),
     }
     return Certificate(
         n=n,

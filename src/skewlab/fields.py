@@ -63,6 +63,9 @@ def json_int(value: Any, what: str) -> int:
 #: and JSON files may give; it bounds what is built, not how long it runs.
 MAX_ORDER = 41
 
+#: The largest sample count ``sample --trials`` may ask for.
+MAX_TRIALS = 1000
+
 
 def check_size(value: Any, what: str) -> int:
     """``value`` if it is an integer of at most ``MAX_ORDER``."""

@@ -98,7 +98,7 @@ def _certificate_facts(cert, n):
     assert all(h[d] == dim_homog(3, d) for d in range((n - 3) // 2 + 1))
     assert h[k] == 1
     assert h == tuple(reversed(h))
-    assert cert.checks["perp_full_above_degree"]  # nothing survives in degree n-2
+    assert cert.checks["perp_full_above_degree"]  # generated one degree up too
 
 
 def test_criterion_3_correspondence_round_trip():

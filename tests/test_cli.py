@@ -8,7 +8,7 @@ import pytest
 
 from skewlab import GF, InternalError, d_vars, parse_poly, poly_matrix_to_json, poly_to_json
 from skewlab.cli import main
-from skewlab.fields import MAX_ORDER
+from skewlab.fields import MAX_ORDER, MAX_TRIALS
 
 from conftest import norm_form_pencil
 
@@ -212,6 +212,19 @@ PINNED_OUTPUTS = [
         ("sample", "--m", "3", "--n", "9", "--p", "3", "--seed", "1", "--trials", "3"),
         "4b658735d45d3c0c887ffdabd76c94c2fd92414cd4f311c0422e08180ccde480",
     ),
+    # four coefficient layers, and their flip
+    (
+        ("random", "--m", "4", "--n", "7", "--seed", "5"),
+        "7ce354cb0ccc632f406c62ce01263ccfcfb867b08dad6ea1d1e3ed155d5ee6ec",
+    ),
+    (
+        ("random", "--m", "3", "--n", "6", "--field", "q", "--seed", "2"),
+        "1fefd9d15f3e3d931f7a174ac6ad2a1e3ec3baf5a841a7acefcf9de1e4e6de9d",
+    ),
+    (
+        ("cohomology", "--m", "4", "--n", "8"),
+        "553e1fccb388a9669e039e794a25984d42917a9a6e983bae3a7ea7baef2abaf3",
+    ),
 ]
 
 
@@ -350,3 +363,30 @@ def test_trials_below_one_exit_two(tmp_path, capsys):
         )
         assert code == 2 and raw == b""
     assert "--trials must be at least 1" in capsys.readouterr().err
+
+
+def test_trials_above_the_cap_exit_two_at_once(tmp_path, capsys):
+    start = time.monotonic()
+    code, raw = run(
+        tmp_path, "sample", "--m", "3", "--n", "9", "--trials", "1000000000", "--seed", "1"
+    )
+    assert time.monotonic() - start < 1
+    assert code == 2 and raw == b""
+    err = capsys.readouterr().err
+    assert f"--trials must be at most {MAX_TRIALS}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["correspond", "from-matrix", "--m", "4", "--n", "7", "--seed", "1"],
+        ["correspond", "from-form", "--m", "2", "--n", "7", "--seed", "1"],
+        ["project", "--m", "4", "--n", "7", "--seed", "1"],
+    ],
+    ids=lambda a: "-".join(a[:4]),
+)
+def test_correspond_and_project_refuse_other_m(tmp_path, capsys, argv):
+    # both commands work in three base variables; another --m is not ignored
+    code, raw = run(tmp_path, *argv)
+    assert code == 2 and raw == b""
+    assert "needs three base variables" in capsys.readouterr().err

@@ -82,6 +82,18 @@ def test_certificate_reuses_hilbert_function_and_can_fail():
     assert bad.failed() == ["annihilator_dim"]
 
 
+def test_products_of_the_generators_must_fill_the_next_degree():
+    # d0^4 + d1^4 has an annihilator generator in degree 4 = (n + 1) / 2,
+    # y0^4 - y1^4, that no cubic in the annihilator times a linear form gives
+    form = parse_poly("d0^4 + d1^4", d_vars(), GF(101))
+    cert = _build_certificate(form, perp_slice(form, 3), 7, "form-to-matrix")
+    assert not cert.checks["perp_full_above_degree"]
+    assert cert.checks["generators_match_annihilator"]
+    # a generic form passes it
+    _, good = form_to_matrix(random_nondegenerate_dual_form(4, GF(101), SplitMix64(3)))
+    assert good.checks["perp_full_above_degree"]
+
+
 def test_roundtrip_matrix_form_matrix():
     for n in (5, 7):
         pm = seeded_pencil(n, GF(32003), 10 + n)

@@ -1,6 +1,9 @@
 """Field arithmetic and exact dense linear algebra, cross-checked with sympy."""
 
+import ast
 import inspect
+import os
+import tokenize
 from fractions import Fraction
 
 import pytest
@@ -26,6 +29,7 @@ from skewlab import (
     rref,
     solve,
 )
+import skewlab
 from skewlab import apolarity, cli, cohomology, correspond, degeneracy, linalg, rings
 from skewlab.randomness import random_invertible
 
@@ -112,6 +116,20 @@ def test_only_field_tells_the_fields_apart(module):
     # these modules reduce scalars through Field and never ask which field it is
     source = inspect.getsource(module)
     assert "p is None" not in source and "p is not None" not in source
+
+
+def test_the_package_has_no_floats():
+    # exact arithmetic only: no ``float`` name and no float or complex literal
+    pkg = os.path.dirname(skewlab.__file__)
+    modules = sorted(name for name in os.listdir(pkg) if name.endswith(".py"))
+    assert "fields.py" in modules
+    for name in modules:
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                where = f"{name}:{tok.start[0]}"
+                assert not (tok.type == tokenize.NAME and tok.string == "float"), where
+                if tok.type == tokenize.NUMBER:
+                    assert isinstance(ast.literal_eval(tok.string), int), where
 
 
 def test_field_json_roundtrip():

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from skewlab import (
     GF,
     QQ,
+    AlphabetMismatch,
+    DegreeMismatch,
     EvenOrder,
     HomogPoly,
     Matrix,
@@ -424,6 +426,29 @@ def test_congruence_pfaffian_scaling():
         assert is_skew_matrix(moved) and moved.degree == pm.degree
         assert pfaffian_poly(moved) == pfaffian_poly(pm).scale(det(p))
         assert [list(row) for row in moved.entries] == congruence_by_entries(pm, p)
+
+
+# -- grids of polynomials ------------------------------------------------------
+
+
+def test_from_entries_keeps_its_checks():
+    y0 = HomogPoly.variable(y_vars(), 0, QQ)
+    bad_grids = [
+        ([], UsageError),
+        ([[]], UsageError),
+        ([[y0, y0], [y0]], UsageError),
+        ([[y0, HomogPoly.variable(x_vars(3), 0, QQ)]], AlphabetMismatch),
+        ([[y0, HomogPoly.variable(y_vars(), 0, GF(7))]], UsageError),
+        ([[y0, y0 * y0]], DegreeMismatch),
+    ]
+    for grid, cls in bad_grids:
+        for build in (PolyMatrix.from_entries, skew_linear):
+            with pytest.raises(UsageError) as info:
+                build(grid)
+            assert info.type is cls, (grid, info.type)
+    pm = PolyMatrix.from_entries([[y0, -y0], [HomogPoly.zero(y_vars(), 1, QQ), y0]])
+    assert pm.layers == [[[1, -1], [0, 1]], [[0] * 2] * 2, [[0] * 2] * 2]
+    assert pm.entry(0, 1) == -y0 and pm.entries[1][1] == y0
 
 
 # -- JSON ----------------------------------------------------------------------
