@@ -92,12 +92,12 @@ def _build_certificate(
         "hilbert_symmetric": all(h[d] == h[k - d] for d in range(k + 1)),
         "hilbert_maximal": all(h[d] == dim_homog(3, d) for d in range(k // 2 + 1)),
         "socle_dim": h[k] == 1,
-        # the generators times linear forms span the annihilator one
-        # degree up; the key name is kept, since certificates are compared
-        # byte for byte
-        "perp_full_above_degree": slices_equal(
-            slice_of_products(span, gen_deg + 1), perp_slice(form, gen_deg + 1)
-        ),
+        # the annihilator is an ideal, so ann times linear forms lies in
+        # it one degree up, where h gives its dimension: equal dimensions
+        # mean ann generates it there.  The key name is kept, since
+        # certificates are compared byte for byte.
+        "perp_full_above_degree": slice_of_products(ann, gen_deg + 1).dim
+        == dim_homog(3, gen_deg + 1) - (h[gen_deg + 1] if gen_deg < k else 0),
     }
     return Certificate(
         n=n,
