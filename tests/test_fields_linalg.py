@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skewlab
 from skewlab import (
     GF,
     QQ,
@@ -29,7 +30,6 @@ from skewlab import (
     rref,
     solve,
 )
-import skewlab
 from skewlab import apolarity, cli, cohomology, correspond, degeneracy, linalg, rings
 from skewlab.randomness import random_invertible
 
