@@ -225,6 +225,20 @@ PINNED_OUTPUTS = [
         ("cohomology", "--m", "4", "--n", "8"),
         "553e1fccb388a9669e039e794a25984d42917a9a6e983bae3a7ea7baef2abaf3",
     ),
+    # the CSV header is the key order of a grid row
+    (
+        ("cohomology", "--grid", "--csv"),
+        "e2984f1083a8718457bbdc38f45a0213e88b425ed36556fdb8b052aae47e0c22",
+    ),
+    (
+        ("cohomology", "--grid"),
+        "d686435de9ba4b435338c54517482e60b6f10ffb5a9e5c192e98678e8cb9dd1e",
+    ),
+    # the flagged row: its note and contracted interval
+    (
+        ("ledger", "--m", "4", "--n", "10"),
+        "55d89569b02c4b9ddeb836bcc17d842e2775495517927162a1ffefd25779c16a",
+    ),
 ]
 
 
