@@ -257,26 +257,6 @@ def cmd_sample(args) -> dict:
     return payload
 
 
-_GRID_COLUMNS = [
-    "m",
-    "n",
-    "structure_match",
-    "twist_match",
-    "omega_match",
-    "max_width",
-    "dim_gr",
-    "h0f_lo",
-    "h0f_hi",
-    "delta_lo",
-    "delta_hi",
-    "codim_rho",
-    "dim_h",
-    "delta_matches_codim",
-    "identity_ok",
-    "flagged",
-]
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -291,9 +271,9 @@ def cmd_cohomology(args) -> dict | str:
         if args.csv:
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(_GRID_COLUMNS)
+            writer.writerow(rows[0])
             for row in rows:
-                writer.writerow(_csv_cell(row[c]) for c in _GRID_COLUMNS)
+                writer.writerow(_csv_cell(v) for v in row.values())
             return buf.getvalue()
         return {"command": "cohomology", "grid": True, "rows": rows}
     if args.csv:
@@ -303,33 +283,21 @@ def cmd_cohomology(args) -> dict | str:
     m, n = args.m, args.n
     tables = closed_form_tables(m, n)
     chases = {twist: sheaf_chase(m, n, twist) for twist in ("plain", "u1", "omega2-u1")}
-    agree = agreement(m, n, chases)
-    led = dimension_ledger(m, n)
     return {
         "command": "cohomology",
         "m": m,
         "n": n,
-        "tables": {k: list(v) for k, v in tables.items()},
-        "agreement": {
-            k: {
-                "closed": list(v["closed"]),
-                "intervals": [list(iv) for iv in v["intervals"]],
-                "exact": v["exact"],
-                "match": v["match"],
-                "max_width": v["max_width"],
-            }
-            for k, v in agree.items()
-        },
+        "tables": tables,
+        "agreement": agreement(m, n, chases),
         "chases": {k: v.to_json() for k, v in chases.items()},
-        "ledger": led.to_json(),
+        "ledger": dimension_ledger(m, n).to_json(),
     }
 
 
 def cmd_ledger(args) -> dict:
     if args.m is None or args.n is None:
         raise UsageError("ledger needs --m and --n")
-    led = dimension_ledger(args.m, args.n)
-    return {"command": "ledger", "ledger": led.to_json()}
+    return {"command": "ledger", "ledger": dimension_ledger(args.m, args.n).to_json()}
 
 
 # -- argument parsing --------------------------------------------------------------

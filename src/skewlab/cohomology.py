@@ -12,7 +12,7 @@ where colliding terms cancel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
@@ -357,13 +357,7 @@ class ChaseResult:
         return tuple(lo for lo, _hi in self.intervals)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "intervals": [list(iv) for iv in self.intervals],
-            "exact": self.exact,
-            "vector": list(self.vector) if self.exact else None,
-            "trace": list(self.trace),
-        }
+        return {**asdict(self), "exact": self.exact, "vector": self.vector}
 
 
 def koszul_chase(terms: Sequence[Sequence[int]], name: str = "") -> ChaseResult:
@@ -497,17 +491,7 @@ class H0FResult:
         return self.interval[0]
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "interval": list(self.interval),
-            "raw_interval": list(self.raw_interval),
-            "intervals": [list(iv) for iv in self.intervals],
-            "exact": self.exact,
-            "flagged": self.flagged,
-            "note": self.note,
-            "trace": list(self.trace),
-        }
+        return {**asdict(self), "exact": self.exact}
 
 
 def h0F(m: int, n: int) -> H0FResult:
@@ -595,18 +579,7 @@ class DimensionLedger:
     flagged: bool
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "dim_gr": self.dim_gr,
-            "h0f": self.h0f.to_json(),
-            "delta": list(self.delta),
-            "codim_rho": self.codim_rho,
-            "dim_h": self.dim_h,
-            "delta_matches_codim": self.delta_matches_codim,
-            "identity_ok": self.identity_ok,
-            "flagged": self.flagged,
-        }
+        return {**asdict(self), "h0f": self.h0f.to_json()}
 
 
 def dimension_ledger(m: int, n: int) -> DimensionLedger:

@@ -11,7 +11,7 @@ projection-of-Veronese model with its certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .apolarity import mirror, partials_slice, perp_slice
@@ -53,16 +53,7 @@ class LocusProfile:
     smooth: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "ambient_dim": self.ambient_dim,
-            "dim": self.dim,
-            "codim": self.codim,
-            "corank_two_codim": self.corank_two_codim,
-            "sing_codim": self.sing_codim,
-            "smooth": self.smooth,
-        }
+        return asdict(self)
 
 
 def locus_profile(n: int, m: int) -> LocusProfile:
@@ -94,14 +85,6 @@ class IncidenceResult:
     n_minors: int
     minors_zero: bool
     ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "n_minors": self.n_minors,
-            "minors_zero": self.minors_zero,
-            "ok": self.ok,
-        }
 
 
 def _det3(r0, r1, r2):
@@ -295,14 +278,6 @@ class ScrollPoint:
     x_samples: list
     incidence_ranks: list
 
-    def to_json(self) -> dict:
-        return {
-            "nu": list(self.nu),
-            "kernel": [list(v) for v in self.kernel],
-            "x_samples": [list(v) for v in self.x_samples],
-            "incidence_ranks": list(self.incidence_ranks),
-        }
-
 
 @dataclass
 class ScrollSample:
@@ -315,15 +290,7 @@ class ScrollSample:
     exhausted: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "curve_degree": self.curve_degree,
-            "points": [pt.to_json() for pt in self.points],
-            "skipped_corank": self.skipped_corank,
-            "scanned": self.scanned,
-            "exhausted": self.exhausted,
-        }
+        return asdict(self)
 
 
 def _pf_chart_tables(pf: HomogPoly):
