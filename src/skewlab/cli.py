@@ -41,7 +41,7 @@ from .errors import (
     RangeError,
     UsageError,
 )
-from .fields import GF, MAX_TRIALS, QQ, Field, check_size
+from .fields import GF, MAX_LEDGER_ORDER, MAX_ORDER, MAX_TRIALS, QQ, Field
 from .randomness import (
     SplitMix64,
     describe,
@@ -252,7 +252,7 @@ def cmd_sample(args) -> dict:
             }
         )
         return payload
-    sample = even_scroll_sample(pm, count=count, per_point=3)
+    sample = even_scroll_sample(pm, count=count)
     payload.update({"mode": "even-scroll", "sample": sample.to_json(), "all_ok": True})
     return payload
 
@@ -267,7 +267,7 @@ def _csv_cell(value) -> str:
 
 def cmd_cohomology(args) -> dict | str:
     if args.grid:
-        rows = grid_rows(n_max=13)
+        rows = grid_rows()
         if args.csv:
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
@@ -353,9 +353,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command != "ledger":  # the ledger is closed forms of any size
-            for flag in ("m", "n"):
-                check_size(getattr(args, flag) or 0, f"--{flag}")
+        cap = MAX_LEDGER_ORDER if args.command == "ledger" else MAX_ORDER
+        for flag in ("m", "n"):
+            value = getattr(args, flag)
+            if value is not None and value > cap:
+                raise RangeError(f"--{flag} must be at most {cap}, got {value}")
         result = _HANDLERS[args.command](args)
         text = result if isinstance(result, str) else _dump(result)
         _emit(text, args.out)

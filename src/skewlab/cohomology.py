@@ -201,9 +201,6 @@ class AffineForm:
         other = AffineForm.of(other)
         return self.const == other.const and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash((self.const, tuple(sorted(self.coeffs.items()))))
-
     def __str__(self) -> str:
         parts = []
         if self.const or not self.coeffs:
@@ -227,15 +224,13 @@ class ChaseContext:
     affine lower and upper bounds.  When a lower bound coincides with an
     upper bound the variable is never created: the bound itself is
     returned, which is what lets colliding terms cancel symbolically at
-    later stages.  ``solve`` runs interval propagation to a fixpoint.
-    Bounds are integers, and ``None`` stands for an unbounded side.
+    later stages.  A bound involves only variables created earlier, so a
+    variable's box is final when it is created.  Bounds are integers,
+    and ``None`` stands for an unbounded side.
     """
 
     def __init__(self):
-        self._lo: dict[str, list[AffineForm]] = {}
-        self._hi: dict[str, list[AffineForm]] = {}
-        self._count = 0
-        self._box: dict[str, list] = {}
+        self._box: dict[str, tuple] = {}
 
     def new_rank_var(self, lo_forms: list, hi_forms: list) -> AffineForm:
         lo = [AffineForm.of(f) for f in lo_forms]
@@ -244,11 +239,13 @@ class ChaseContext:
             for h_form in hi:
                 if l_form == h_form:
                     return l_form
-        name = f"v{self._count}"
-        self._count += 1
-        self._lo[name] = lo
-        self._hi[name] = hi
-        self._box[name] = [0, None]
+        name = f"v{len(self._box)}"
+        lows = [b for b in (self._span(f)[0] for f in lo) if b is not None]
+        highs = [b for b in (self._span(f)[1] for f in hi) if b is not None]
+        box = (max([0, *lows]), min(highs) if highs else None)
+        if box[1] is not None and box[0] > box[1]:
+            raise InternalError(f"infeasible chase bounds for {name}")
+        self._box[name] = box
         return AffineForm.var(name)
 
     def _span(self, form: AffineForm) -> tuple:
@@ -260,26 +257,6 @@ class ChaseContext:
             lo = None if lo is None or ends[0] is None else lo + ends[0]
             hi = None if hi is None or ends[1] is None else hi + ends[1]
         return lo, hi
-
-    def solve(self) -> None:
-        for _ in range(10000):
-            changed = False
-            for name, box in self._box.items():
-                for f in self._lo[name]:
-                    flo, _ = self._span(f)
-                    if flo is not None and flo > box[0]:
-                        box[0] = flo
-                        changed = True
-                for f in self._hi[name]:
-                    _, fhi = self._span(f)
-                    if fhi is not None and (box[1] is None or fhi < box[1]):
-                        box[1] = fhi
-                        changed = True
-                if box[1] is not None and box[0] > box[1]:
-                    raise InternalError(f"infeasible chase bounds for {name}")
-            if not changed:
-                return
-        raise InternalError("chase propagation did not converge")
 
     def interval(self, form) -> tuple[int, int]:
         lo, hi = self._span(AffineForm.of(form))
@@ -312,7 +289,7 @@ def slot3(a_forms: list, b_ints: Sequence[int], ctx: ChaseContext) -> list[Affin
 
 
 def peel_exact_complex(
-    terms: Sequence[Sequence[int]], ctx: ChaseContext, trace: list | None = None
+    terms: Sequence[Sequence[int]], ctx: ChaseContext, trace: list
 ) -> list[AffineForm]:
     """Cohomology of the augmentation target of an exact complex.
 
@@ -324,12 +301,10 @@ def peel_exact_complex(
         raise RangeError("empty complex")
     last = len(terms) - 1
     kernel = [AffineForm.of(c) for c in terms[last]]
-    if trace is not None:
-        trace.append(f"K{last - 1} = [{', '.join(str(f) for f in kernel)}]")
+    trace.append(f"K{last - 1} = [{', '.join(str(f) for f in kernel)}]")
     for j in range(last - 1, 0, -1):
         kernel = slot3(kernel, terms[j], ctx)
-        if trace is not None:
-            trace.append(f"K{j - 1} = [{', '.join(str(f) for f in kernel)}]")
+        trace.append(f"K{j - 1} = [{', '.join(str(f) for f in kernel)}]")
     if last == 0:
         return kernel
     return slot3(kernel, terms[0], ctx)
@@ -365,7 +340,6 @@ def koszul_chase(terms: Sequence[Sequence[int]], name: str = "") -> ChaseResult:
     ctx = ChaseContext()
     trace: list[str] = []
     forms = peel_exact_complex(terms, ctx, trace)
-    ctx.solve()
     intervals = tuple(ctx.interval(f) for f in forms)
     trace.append(f"F = [{', '.join(str(f) for f in forms)}]")
     return ChaseResult(name=name, intervals=intervals, trace=trace)
@@ -510,7 +484,6 @@ def h0F(m: int, n: int) -> H0FResult:
     trace.append(f"B = [{', '.join(str(f) for f in b_forms)}]")
     f_forms = slot3(b_forms, tables["omega"], ctx)
     trace.append(f"F = [{', '.join(str(f) for f in f_forms)}]")
-    ctx.solve()
     intervals = tuple(ctx.interval(f) for f in f_forms)
     raw = intervals[0]
 
@@ -616,10 +589,14 @@ def dimension_ledger(m: int, n: int) -> DimensionLedger:
     )
 
 
-def grid_rows(n_max: int = 13) -> list[dict]:
-    """Agreement and ledger summaries over the whole 2 < m < n-1 grid."""
+#: The largest matrix order of the ``cohomology --grid`` sweep.
+GRID_N_MAX = 13
+
+
+def grid_rows() -> list[dict]:
+    """Agreement and ledger summaries over the 2 < m < n-1 grid, n <= GRID_N_MAX."""
     rows = []
-    for n in range(5, n_max + 1):
+    for n in range(5, GRID_N_MAX + 1):
         for m in range(3, n - 1):
             agree = agreement(m, n)
             led = dimension_ledger(m, n)

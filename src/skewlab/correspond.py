@@ -126,7 +126,7 @@ def matrix_to_form(pencil: PolyMatrix) -> tuple[HomogPoly, Certificate]:
         raise RangeError("correspondence needs exactly three base variables")
     _require_char(pm.field, n - 3)
 
-    pfs, _signed = sub_pfaffians(pm, check=False)
+    pfs, _signed = sub_pfaffians(pm)
     span = GradedSlice.from_polys(pfs)
     if span.dim != n:
         raise DegenerateInput(
@@ -230,7 +230,7 @@ def form_to_matrix(form: HomogPoly) -> tuple[PolyMatrix, Certificate]:
     products = [q.mul(t).rows for t in layers]
     pencil = skew_linear(PolyMatrix(form.alphabet.dual(), 1, field, products))
 
-    pfs, _signed = sub_pfaffians(pencil, check=False)
+    pfs, _signed = sub_pfaffians(pencil)
     span = GradedSlice.from_polys(pfs)
     if not slices_equal(span, ann):
         raise SkewNormalizationFailure(

@@ -145,7 +145,7 @@ def parametrization_points(
     if pm.alphabet.nvars != 3:
         raise RangeError("parametrization needs three base variables")
     field = pm.field
-    _pfs, signed = sub_pfaffians(pm, check=False)
+    _pfs, signed = sub_pfaffians(pm)
     out: list[tuple[tuple, tuple]] = []
     skipped = 0
     budget = 20 * count + 100
@@ -252,7 +252,7 @@ def verify_in_image(datum: ProjectionDatum) -> tuple[PolyMatrix, Matrix, Certifi
     the pencil's certificate.
     """
     pencil, cert = form_to_matrix(mirror(datum.g))
-    pfs, _signed = sub_pfaffians(pencil, check=False)
+    pfs, _signed = sub_pfaffians(pencil)
     field = datum.g.field
     ambient = dim_homog(3, (datum.n - 1) // 2)
     p_mat = Matrix.from_columns(field, [list(q.coeffs) for q in pfs], ambient)
@@ -317,16 +317,19 @@ def _horner(coeffs, x, p):
     return acc
 
 
-def even_scroll_sample(
-    pencil: PolyMatrix, count: int = 5, per_point: int = 3
-) -> ScrollSample:
+#: Points sampled on each kernel line of an even pencil's locus.
+LINE_SAMPLES = 3
+
+
+def even_scroll_sample(pencil: PolyMatrix, count: int = 5) -> ScrollSample:
     """Sample the rank-drop locus of an even skew pencil over a prime field.
 
     Scans the plane in a fixed chart order for points of the Pfaffian
-    curve, keeps those of corank exactly two, and samples ``per_point``
-    points on each kernel line.  Every sample must pass the incidence
-    check.  ``NoPointsFound`` is raised only when the full plane is
-    exhausted without a single curve point of corank two.
+    curve, keeps those of corank exactly two, and samples
+    ``min(LINE_SAMPLES, p)`` points on each kernel line.  Every sample
+    must pass the incidence check.  ``NoPointsFound`` is raised only when
+    the full plane is exhausted without a single curve point of corank
+    two.
     """
     pm = skew_linear(pencil)
     n = pm.nrows
@@ -338,9 +341,9 @@ def even_scroll_sample(
     if field.is_rational:
         raise RangeError("scroll sampling needs a finite field")
     p = field.p
-    per_point = min(per_point, p)
+    per_point = min(LINE_SAMPLES, p)
 
-    pf = pfaffian_poly(pm, check=False)
+    pf = pfaffian_poly(pm)
     if pf.is_zero():
         raise DegenerateInput("pencil has identically zero Pfaffian")
     flipped = tensor_flip(pm)

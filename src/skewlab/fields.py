@@ -63,6 +63,10 @@ def json_int(value: Any, what: str) -> int:
 #: and JSON files may give; it bounds what is built, not how long it runs.
 MAX_ORDER = 41
 
+#: The largest ``--m`` or ``--n`` of ``ledger``, which builds no matrix but
+#: chases cohomology vectors of length m + n - 1.
+MAX_LEDGER_ORDER = 10_000
+
 #: The largest sample count ``sample --trials`` may ask for.
 MAX_TRIALS = 1000
 

@@ -97,9 +97,6 @@ class Matrix:
             and other.rows == self.rows
         )
 
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict keys
-        return hash((self.field, self.nrows, self.ncols, tuple(map(tuple, self.rows))))
-
     def __repr__(self) -> str:
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
 

@@ -123,19 +123,21 @@ def random_invertible(n: int, field: Field, rng: SplitMix64):
     raise InternalError("failed to draw an invertible matrix")  # pragma: no cover
 
 
-def random_nondegenerate_dual_form(
-    degree: int, field: Field, rng: SplitMix64, nvars: int = 3, max_tries: int = 64
-) -> HomogPoly:
+#: Draws ``random_nondegenerate_dual_form`` makes before it gives up.
+MAX_FORM_DRAWS = 64
+
+
+def random_nondegenerate_dual_form(degree: int, field: Field, rng: SplitMix64) -> HomogPoly:
     """Random dual form with full middle catalecticant rank."""
     from .apolarity import is_nondegenerate
 
-    alphabet = Alphabet("D", nvars)
-    for _ in range(max_tries):
+    alphabet = Alphabet("D", 3)
+    for _ in range(MAX_FORM_DRAWS):
         f = random_form(alphabet, degree, field, rng)
         if not f.is_zero() and is_nondegenerate(f):
             return f
     raise DegenerateForm(
-        f"no nondegenerate degree-{degree} form found in {max_tries} draws"
+        f"no nondegenerate degree-{degree} form found in {MAX_FORM_DRAWS} draws"
     )
 
 

@@ -373,12 +373,11 @@ def poly_to_json(poly: HomogPoly) -> dict:
     }
 
 
-def poly_from_json(obj: dict, field: Field | None = None) -> HomogPoly:
+def poly_from_json(obj: dict) -> HomogPoly:
     try:
         alphabet = Alphabet(str(obj["alphabet"]), check_size(obj["nvars"], "nvars"))
         degree = check_size(obj["degree"], "degree")
-        if field is None:
-            field = Field.from_json(obj["field"])
+        field = Field.from_json(obj["field"])
         terms = [
             (field.scalar_from_json(c), tuple(json_int(x, "exponent") for x in e))
             for c, e in obj["terms"]
@@ -479,9 +478,6 @@ class GradedSlice:
             and other.field == self.field
             and other.matrix == self.matrix
         )
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash((self.alphabet, self.degree, self.field))
 
     def __repr__(self) -> str:
         return f"GradedSlice({self.alphabet.key}{self.alphabet.nvars}, deg={self.degree}, dim={self.dim})"

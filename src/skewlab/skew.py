@@ -302,7 +302,7 @@ def _lattice_forms(pm: PolyMatrix, half: int, at_point) -> list[HomogPoly]:
     ]
 
 
-def pfaffian_poly(pm: PolyMatrix, check: bool = True) -> HomogPoly:
+def pfaffian_poly(pm: PolyMatrix) -> HomogPoly:
     """Pfaffian of an even-order skew polynomial matrix.
 
     Convention: pf of [[0, a], [-a, 0]] is ``a``; the empty product
@@ -312,26 +312,25 @@ def pfaffian_poly(pm: PolyMatrix, check: bool = True) -> HomogPoly:
         raise UsageError("pfaffian of a non-square matrix")
     if pm.nrows % 2:
         raise OddOrder("pfaffian needs even order")
-    if check and not is_skew_matrix(pm):
+    if not is_skew_matrix(pm):
         raise NotSkew("pfaffian of a non-skew matrix")
     (pf,) = _lattice_forms(pm, pm.nrows // 2, _pfaffian)
     return pf
 
 
-def pfaffian_scalar(mat: Matrix, check: bool = True):
+def pfaffian_scalar(mat: Matrix):
     """Pfaffian of an even-order skew scalar matrix (a field scalar)."""
     if mat.nrows != mat.ncols:
         raise UsageError("pfaffian of a non-square matrix")
     if mat.nrows % 2:
         raise OddOrder("pfaffian needs even order")
     field = mat.field
-    if check:
-        for i in range(mat.nrows):
-            if mat.rows[i][i] != 0:
-                raise NotSkew("nonzero diagonal")
-            for j in range(i + 1, mat.ncols):
-                if mat.rows[i][j] != field.neg(mat.rows[j][i]):
-                    raise NotSkew("matrix is not skew-symmetric")
+    for i in range(mat.nrows):
+        if mat.rows[i][i] != 0:
+            raise NotSkew("nonzero diagonal")
+        for j in range(i + 1, mat.ncols):
+            if mat.rows[i][j] != field.neg(mat.rows[j][i]):
+                raise NotSkew("matrix is not skew-symmetric")
     # over QQ the denominators are cleared; an F_p scalar is an int, of denominator 1
     scale = lcm(*(c.denominator for row in mat.rows for c in row))
     ints = [[c.numerator * (scale // c.denominator) for c in row] for row in mat.rows]
@@ -339,9 +338,7 @@ def pfaffian_scalar(mat: Matrix, check: bool = True):
     return field.div(field.from_int(pf), scale ** (mat.nrows // 2))
 
 
-def sub_pfaffians(
-    pm: PolyMatrix, check: bool = True
-) -> tuple[tuple[HomogPoly, ...], tuple[HomogPoly, ...]]:
+def sub_pfaffians(pm: PolyMatrix) -> tuple[tuple[HomogPoly, ...], tuple[HomogPoly, ...]]:
     """Principal sub-Pfaffians of an odd-order skew matrix.
 
     Returns ``(pf, signed)`` where ``pf[i]`` is the Pfaffian with row and
@@ -353,7 +350,7 @@ def sub_pfaffians(
         raise UsageError("sub-Pfaffians of a non-square matrix")
     if pm.nrows % 2 == 0:
         raise EvenOrder("sub-Pfaffian vector needs odd order")
-    if check and not is_skew_matrix(pm):
+    if not is_skew_matrix(pm):
         raise NotSkew("sub-Pfaffians of a non-skew matrix")
     signed = tuple(_lattice_forms(pm, pm.nrows // 2, _pfaffian))
     pfs = tuple(q if i % 2 == 0 else -q for i, q in enumerate(signed))

@@ -65,7 +65,7 @@ def seeded_pencil(n, field, seed):
 
 
 def pf_span(pm):
-    pfs, _ = sub_pfaffians(pm, check=False)
+    pfs, _ = sub_pfaffians(pm)
     return GradedSlice.from_polys(pfs)
 
 
@@ -156,7 +156,7 @@ def test_criterion_5_even_scroll_sampling():
                     )
                     pf = pfaffian_poly(pm)
                     assert pf.degree == n // 2 and not pf.is_zero()
-                    sample = even_scroll_sample(pm, count=5, per_point=3)
+                    sample = even_scroll_sample(pm, count=5)
                     assert sample.curve_degree == n // 2
                     flipped = tensor_flip(pm)
                     for pt in sample.points:
@@ -186,7 +186,7 @@ def test_criterion_7_dimension_ledger():
         for (m, n), want in deltas.items():
             led = dimension_ledger(m, n)
             assert led.delta == (want, want) and led.delta_matches_codim
-        for row in grid_rows(13):
+        for row in grid_rows():
             if row["m"] < 4:
                 continue
             if row["flagged"]:

@@ -8,7 +8,7 @@ import pytest
 
 from skewlab import GF, InternalError, d_vars, parse_poly, poly_matrix_to_json, poly_to_json
 from skewlab.cli import main
-from skewlab.fields import MAX_ORDER, MAX_TRIALS
+from skewlab.fields import MAX_LEDGER_ORDER, MAX_ORDER, MAX_TRIALS
 
 from conftest import norm_form_pencil
 
@@ -301,8 +301,18 @@ def test_oversized_matrix_file_exits_two(tmp_path, capsys):
 
 
 def test_ledger_is_not_capped(tmp_path):
+    # not by MAX_ORDER: the ledger has its own, larger bound
     doc = run_json(tmp_path, "ledger", "--m", "3", "--n", "1001")
     assert doc["ledger"]["identity_ok"] is True
+
+
+@pytest.mark.parametrize("n", ["1000001", "1000000000"])
+def test_ledger_above_its_bound_exits_two_at_once(capsys, n):
+    start = time.monotonic()
+    assert main(["ledger", "--m", "3", "--n", n]) == 2
+    assert time.monotonic() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"--n must be at most {MAX_LEDGER_ORDER}" in err and "Traceback" not in err
 
 
 def test_malformed_field_modulus_exits_two(tmp_path, capsys):

@@ -44,7 +44,7 @@ def seeded_pencil(n, field, seed):
 
 
 def pf_slice(pm):
-    pfs, _ = sub_pfaffians(pm, check=False)
+    pfs, _ = sub_pfaffians(pm)
     return GradedSlice.from_polys(pfs)
 
 

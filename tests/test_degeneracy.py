@@ -165,7 +165,7 @@ def test_projection_datum_json():
 def test_even_scroll_samples_pass_incidence():
     field = GF(101)
     pm = seeded_pencil(6, field, 41)
-    sample = even_scroll_sample(pm, count=4, per_point=3)
+    sample = even_scroll_sample(pm, count=4)
     assert sample.n == 6 and sample.p == 101
     assert sample.curve_degree == 3
     assert len(sample.points) == 4
@@ -181,8 +181,8 @@ def test_even_scroll_samples_pass_incidence():
 
 def test_even_scroll_is_deterministic():
     pm = seeded_pencil(8, GF(32003), 42)
-    a = even_scroll_sample(pm, count=3, per_point=2)
-    b = even_scroll_sample(pm, count=3, per_point=2)
+    a = even_scroll_sample(pm, count=3)
+    b = even_scroll_sample(pm, count=3)
     assert a.to_json() == b.to_json()
     assert a.curve_degree == 4
 
@@ -198,4 +198,4 @@ def test_pointless_curve_raises(pointless_pencil):
     pf = pfaffian_poly(pointless_pencil)
     assert not pf.is_zero() and pf.degree == 3
     with pytest.raises(NoPointsFound):
-        even_scroll_sample(pointless_pencil, count=2, per_point=2)
+        even_scroll_sample(pointless_pencil, count=2)
