@@ -88,7 +88,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -98,8 +98,11 @@ def _dump(payload: dict) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

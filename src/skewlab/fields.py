@@ -4,6 +4,14 @@ Scalars are plain Python objects: ``fractions.Fraction`` for the
 rationals (always in lowest terms with positive denominator), ``int`` in
 ``[0, p)`` for F_p. A ``Field`` instance bundles the arithmetic so that
 matrix and polynomial code stays field-agnostic.
+
+The elimination kernel works on packed rows.  Over F_p a row is one
+nonnegative int with a fixed-width field per entry, column 0 in the low
+bits; a row update adds a multiple of another row to it in one big-int
+multiply-add, without reducing, and the width (``pack_width``) leaves
+room for every update the elimination can make.  Entries are reduced
+when read (``entry``) and when unpacked.  Over QQ a packed row is the
+list itself.
 """
 
 from __future__ import annotations
@@ -156,6 +164,42 @@ class Field:
 
     def is_zero(self, a) -> bool:
         return a == 0
+
+    # -- packed rows (the elimination kernel's representation) ----------
+
+    def pack_width(self, k: int) -> int:
+        """Bits per entry of a packed row that takes at most ``k`` updates.
+
+        Entries start below p and each update adds less than p**2, so
+        2 bits(p) + bits(k) + 1 bits never carry into the next entry;
+        rounding up to whole bytes keeps packing linear.
+        """
+        return 0 if self.p is None else (2 * self.p.bit_length() + k.bit_length() + 8) // 8 * 8
+
+    def pack(self, row: list, w: int):
+        """``row`` as one int with entry j in bits [j w, (j + 1) w); a list over QQ."""
+        if self.p is None:
+            return row
+        size, p = w // 8, self.p
+        return int.from_bytes(b"".join([(a % p).to_bytes(size, "little") for a in row]), "little")
+
+    def unpack(self, packed, ncols: int, w: int, scale=1) -> list:
+        """The reduced entries of a packed row, each multiplied by ``scale``."""
+        if self.p is None:
+            return packed if scale == 1 else [a * scale for a in packed]
+        size, p, read = w // 8, self.p, int.from_bytes
+        data = packed.to_bytes(ncols * size, "little")
+        return [read(data[j : j + size], "little") * scale % p for j in range(0, len(data), size)]
+
+    def entry(self, packed, c: int, w: int):
+        """Entry ``c`` of a packed row, reduced."""
+        if self.p is None:
+            return packed[c]
+        return (packed >> c * w & (1 << w) - 1) % self.p
+
+    def packed_axpy(self, c, x, y):
+        """The packed row ``x + c * y``; over F_p it adds ``c mod p`` times ``y`` unreduced."""
+        return self.axpy(c, x, y) if self.p is None else x + c % self.p * y
 
     # -- text and JSON -------------------------------------------------
 

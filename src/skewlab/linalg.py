@@ -7,8 +7,11 @@ determinant factor.  ``rref``, ``rank``, ``kernel_basis``, ``solve``,
 ``det``, ``inverse`` and ``column_space_canonical`` are thin wrappers
 over it.  Reduced echelon forms are fully normalized and kernel bases
 put a unit at their own free coordinate, so every result is canonical.
-Matrices are dense lists of lists.  The row update, here and in
-``Matrix.mul``, is ``Field.axpy``: only the field reduces scalars.
+Matrices are dense lists of lists.  Inside the kernel the field holds
+each row in its packed form (``Field.pack``): the row update is
+``Field.packed_axpy``, which over F_p is one big-integer multiply-add,
+and ``Matrix.mul`` adds rows with ``Field.axpy``.  Only the field reads,
+reduces and tells apart scalars.
 """
 
 from __future__ import annotations
@@ -118,53 +121,57 @@ def _rref_inplace(rows: list[list], field: Field) -> tuple[list[int], object]:
 
     Returns the pivot columns and the determinant factor: the product of
     the raw pivots, negated once per row swap.  For a square matrix of
-    full rank that factor is the determinant.
+    full rank that factor is the determinant.  The field packs each row
+    while it is reduced and unpacks it at the end; the list items are
+    replaced, and no row list is changed.
     """
     pivots: list[int] = []
     factor = field.one
     m = len(rows)
     if m == 0:
         return pivots, factor
-    mul = field.mul
+    ncols = len(rows[0])
+    w = field.pack_width(min(m, ncols))
+    for i in range(m):
+        rows[i] = field.pack(rows[i], w)
+    entry = field.entry
     r = 0
-    for c in range(len(rows[0])):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pr = i
+    for c in range(ncols):
+        for pr in range(r, m):
+            piv = entry(rows[pr], c, w)
+            if piv:
                 break
-        if pr is None:
+        else:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             factor = field.neg(factor)
-        piv = rows[r][c]
-        factor = mul(factor, piv)
-        inv = field.inv(piv)
-        if inv != 1:
-            rows[r] = [mul(x, inv) for x in rows[r]]
-        prow = rows[r]
+        factor = field.mul(factor, piv)
+        rows[r] = prow = field.pack(field.unpack(rows[r], ncols, w, field.inv(piv)), w)
         for i in range(m):
-            fac = rows[i][c]
-            if i != r and fac:
-                rows[i] = field.axpy(-fac, rows[i], prow)
+            if i != r:
+                fac = entry(rows[i], c, w)
+                if fac:
+                    rows[i] = field.packed_axpy(-fac, rows[i], prow)
         pivots.append(c)
         r += 1
         if r == m:
             break
+    for i in range(m):
+        # every row below the last pivot row is zero
+        rows[i] = field.unpack(rows[i], ncols, w) if i < r else [field.zero] * ncols
     return pivots, factor
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
-    rows = [r[:] for r in mat.rows]
+    rows = list(mat.rows)
     pivots, _ = _rref_inplace(rows, mat.field)
     return Matrix(mat.field, rows, mat.ncols), pivots
 
 
 def rank(mat: Matrix) -> int:
-    rows = [r[:] for r in mat.rows]
-    return len(_rref_inplace(rows, mat.field)[0])
+    return len(_rref_inplace(list(mat.rows), mat.field)[0])
 
 
 def kernel_basis(mat: Matrix) -> Matrix:
@@ -174,7 +181,7 @@ def kernel_basis(mat: Matrix) -> Matrix:
     at the other free coordinates, which makes the basis canonical.
     """
     field = mat.field
-    rows = [r[:] for r in mat.rows]
+    rows = list(mat.rows)
     pivots, _ = _rref_inplace(rows, field)
     pivot_set = set(pivots)
     free = [c for c in range(mat.ncols) if c not in pivot_set]
@@ -197,7 +204,7 @@ def solve(mat: Matrix, rhs: Sequence) -> list | None:
     if len(rhs) != mat.nrows:
         raise DegreeMismatch("right-hand side length mismatch")
     field = mat.field
-    rows = [r[:] + [b] for r, b in zip(mat.rows, rhs)]
+    rows = [r + [b] for r, b in zip(mat.rows, rhs)]
     if mat.nrows == 0:
         return [field.zero] * mat.ncols
     pivots, _ = _rref_inplace(rows, field)
@@ -213,7 +220,7 @@ def det(mat: Matrix):
     """Determinant: the elimination's determinant factor, or zero when singular."""
     if mat.nrows != mat.ncols:
         raise UsageError("determinant of a non-square matrix")
-    pivots, factor = _rref_inplace([r[:] for r in mat.rows], mat.field)
+    pivots, factor = _rref_inplace(list(mat.rows), mat.field)
     return factor if len(pivots) == mat.nrows else mat.field.zero
 
 
@@ -224,7 +231,7 @@ def inverse(mat: Matrix) -> Matrix:
     field = mat.field
     n = mat.nrows
     ident = Matrix.identity(field, n)
-    rows = [r[:] + e[:] for r, e in zip(mat.rows, ident.rows)]
+    rows = [r + e for r, e in zip(mat.rows, ident.rows)]
     pivots, _ = _rref_inplace(rows, field)
     if len(pivots) < n or pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")

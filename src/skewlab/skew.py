@@ -48,6 +48,8 @@ class PolyMatrix:
         layers = [[list(row) for row in layer] for layer in layers]
         if len(layers) != len(monomials(alphabet.nvars, degree)):
             raise DegreeMismatch("one coefficient layer per monomial is needed")
+        if not layers[0] or not layers[0][0]:
+            raise UsageError("empty polynomial matrix")
         self.alphabet = alphabet
         self.degree = degree
         self.field = field

@@ -1,10 +1,14 @@
 """Command-line behavior: schemas, determinism, exit codes, file round trips."""
 
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlab import GF, InternalError, d_vars, parse_poly, poly_matrix_to_json, poly_to_json
 from skewlab.cli import main
@@ -414,3 +418,166 @@ def test_correspond_and_project_refuse_other_m(tmp_path, capsys, argv):
     code, raw = run(tmp_path, *argv)
     assert code == 2 and raw == b""
     assert "needs three base variables" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "target", ["dir", "missing/x.json", "file/x.json"], ids=["directory", "no-parent", "file-parent"]
+)
+def test_unwritable_output_exits_two(tmp_path, capsys, target):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    out = tmp_path / target
+    assert main(["random", "--m", "3", "--n", "5", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_empty_generated_pencil_exits_two(capsys, n):
+    assert main(["correspond", "from-matrix", "--n", n, "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "empty polynomial matrix" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "data", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "nested-too-deep"]
+)
+def test_undecodable_input_exits_two(tmp_path, capsys, data):
+    in_file = tmp_path / "form.json"
+    in_file.write_bytes(data)
+    assert main(["correspond", "from-form", "--in", str(in_file)]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid JSON in {in_file}" in err and "Traceback" not in err
+
+
+# -- fuzzing the flag grammar ----------------------------------------------------
+
+FUZZ_COMMANDS = [
+    ["random"],
+    ["correspond", "from-matrix"],
+    ["correspond", "from-form"],
+    ["project"],
+    ["sample"],
+    ["cohomology"],
+    ["ledger"],
+]
+SMALL_PRIMES = ["2", "3", "5", "7", "101", "32003"]
+LARGE_PRIMES = ["1000000007", "2305843009213693951"]
+NOT_PRIMES = ["-7", "0", "1", "9", "561", "3317044064679887385961981"]
+FUZZ_SECONDS = 5
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Valid form and matrix files at n = 7, a directory and a plain file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    out = root / "seed.json"
+    assert main(["correspond", "from-form", "--n", "7", "--seed", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    for key in ("form", "matrix"):
+        (root / f"{key}.json").write_text(json.dumps(doc[key], sort_keys=True, indent=2))
+    (root / "dir").mkdir()
+    return root
+
+
+def mutate(data: bytes, edits) -> bytes:
+    """Apply (kind, position, byte) edits: replace, insert or delete one byte."""
+    buf = bytearray(data)
+    for kind, pos, byte in edits:
+        pos %= len(buf) + 1
+        if kind == "insert":
+            buf.insert(pos, byte)
+        elif pos < len(buf):
+            if kind == "replace":
+                buf[pos] = byte
+            else:
+                del buf[pos]
+    return bytes(buf)
+
+
+#: Any value a flag may take, bad ones included (None leaves the flag out).
+FUZZ_FLAGS = {
+    "--m": st.none() | st.integers(-1, 9),
+    "--n": st.none() | st.integers(-1, 9),
+    "--field": st.sampled_from([None, "fp", "q"]),
+    "--p": st.sampled_from([None] + SMALL_PRIMES + LARGE_PRIMES + NOT_PRIMES),
+    "--seed": st.none() | st.integers(-1, 2**64),
+    "--trials": st.none() | st.integers(-1, 5),
+}
+
+
+@st.composite
+def fuzz_cases(draw):
+    """argv from the flag grammar, with an --in file to write (or None).
+
+    A valid invocation of a drawn command, so that it gets past its checks
+    and runs its kernels, with up to two flags then redrawn from any value.
+    """
+    argv = list(draw(st.sampled_from(FUZZ_COMMANDS)))
+    m = draw(st.integers(3, 5)) if argv[0] in ("random", "cohomology", "ledger") else 3
+    field = draw(st.sampled_from(["fp", "fp", "q"]))
+    top = 7 if field == "q" else 9
+    orders = [n for n in range(m + 2, top + 1) if n % 2 or argv[0] != "correspond"]
+    flags = {
+        "--m": m,
+        "--n": draw(st.sampled_from(orders)),
+        "--field": field,
+        "--p": draw(st.sampled_from(SMALL_PRIMES[2:])),
+        "--seed": draw(st.integers(0, 9)),
+        "--trials": draw(st.integers(1, 5)),
+    }
+    for flag in draw(st.lists(st.sampled_from(sorted(FUZZ_FLAGS)), max_size=2, unique=True)):
+        flags[flag] = draw(FUZZ_FLAGS[flag])
+    # A QQ correspondence at n = 9 takes about 3 s (ROADMAP item 3), and
+    # even-order sampling over a large prime walks p^2 chart points
+    # (ROADMAP item 4a): both are legal but far over the time budget.
+    n = flags["--n"]
+    if flags["--field"] == "q" and n == 9:
+        flags["--n"] = 7
+    if argv == ["sample"] and flags["--p"] in LARGE_PRIMES and n is not None and n % 2 == 0:
+        flags["--n"] = n - 1
+    for flag, value in flags.items():
+        if value is not None:
+            argv += [flag, str(value)]
+    if argv[0] == "cohomology":
+        argv += [flag for flag in ("--grid", "--csv") if draw(st.booleans())]
+    source = draw(st.sampled_from([None, None, None, "form", "matrix", "missing", "dir"]))
+    edits = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["replace", "insert", "delete"]),
+                st.integers(0, 4000),
+                st.integers(0, 255),
+            ),
+            max_size=3,
+        )
+    )
+    out = draw(
+        st.sampled_from([None, None, None, "out.json", "dir", "missing/out.json", "form.json/x"])
+    )
+    return argv, source, edits, out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(fuzz_cases())
+def test_cli_fuzz_exits_cleanly(fuzz_dir, case):
+    argv, source, edits, out = case
+    argv = list(argv)
+    if source in ("form", "matrix"):
+        in_file = fuzz_dir / "in.json"
+        in_file.write_bytes(mutate((fuzz_dir / f"{source}.json").read_bytes(), edits))
+        argv += ["--in", str(in_file)]
+    elif source is not None:
+        argv += ["--in", str(fuzz_dir / source)]
+    if out is not None:
+        argv += ["--out", str(fuzz_dir / out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    assert time.monotonic() - start < FUZZ_SECONDS, argv
+    assert code in (0, 2, 3), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

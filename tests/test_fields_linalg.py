@@ -31,6 +31,7 @@ from skewlab import (
     solve,
 )
 from skewlab import apolarity, cli, cohomology, correspond, degeneracy, linalg, rings
+from skewlab.fields import Field
 from skewlab.randomness import random_invertible
 
 
@@ -294,3 +295,131 @@ def test_rank_equals_transpose_rank(rows):
 def test_det_transpose_invariant(rows):
     a = Matrix(QQ, [[Fraction(v) for v in row] for row in rows])
     assert det(a) == det(a.transpose())
+
+
+# -- the packed elimination kernel --------------------------------------------
+
+
+def rref_oracle(rows, field):
+    """The list elimination the packed kernel replaced: one reduced row update per row."""
+    pivots = []
+    factor = field.one
+    m = len(rows)
+    if m == 0:
+        return pivots, factor
+    mul = field.mul
+    r = 0
+    for c in range(len(rows[0])):
+        pr = None
+        for i in range(r, m):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            factor = field.neg(factor)
+        piv = rows[r][c]
+        factor = mul(factor, piv)
+        inv = field.inv(piv)
+        if inv != 1:
+            rows[r] = [mul(x, inv) for x in rows[r]]
+        prow = rows[r]
+        for i in range(m):
+            fac = rows[i][c]
+            if i != r and fac:
+                rows[i] = field.axpy(-fac, rows[i], prow)
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots, factor
+
+
+KERNEL_PRIMES = (2, 3, 5, 7, 101, 32003, 2**61 - 1)
+
+
+def assert_kernel_matches_oracle(field, rows):
+    got_rows, want_rows = [r[:] for r in rows], [r[:] for r in rows]
+    got = linalg._rref_inplace(got_rows, field)
+    want = rref_oracle(want_rows, field)
+    assert got == want
+    assert got_rows == want_rows
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A field and a matrix: empty, zero, rank-deficient, tall or wide."""
+    p = draw(st.sampled_from(KERNEL_PRIMES + (None,)))
+    field = QQ if p is None else GF(p)
+    top = 9 if p is None else p - 1
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 9))
+    entry = st.one_of(st.sampled_from([0, 1, top]), st.integers(0, top))
+    rows = [[field.from_int(draw(entry)) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(1, nrows):
+        # a multiple of an earlier row (zero when the factor is zero)
+        if draw(st.booleans()):
+            j, c = draw(st.integers(0, i - 1)), field.from_int(draw(st.integers(0, top)))
+            rows[i] = [field.mul(c, a) for a in rows[j]]
+    return field, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs())
+def test_packed_kernel_matches_the_list_oracle(case):
+    field, rows = case
+    assert_kernel_matches_oracle(field, rows)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_packed_fields_never_carry(monkeypatch, p):
+    # A field starts below p, and each update adds (p - fac) times an entry of
+    # the reduced pivot row, less than p**2, once per pivot: so it stays below
+    # p + k (p - 1)**2 for k = min(m, n), which the width must hold.
+    field = GF(p)
+    for k in (0, 1, 2, 3, 7, 8, 12, 100, 10**4):
+        assert 1 << field.pack_width(k) > p + k * (p - 1) ** 2
+    widths = []
+    real_width, real_axpy = Field.pack_width, Field.packed_axpy
+
+    def pack_width(self, k):
+        widths.append(real_width(self, k))
+        return widths[-1]
+
+    def packed_axpy(self, c, x, y):
+        w, mask = widths[-1], (1 << widths[-1]) - 1
+        out = real_axpy(self, c, x, y)
+        assert 0 < c % p < p
+        for j in range(out.bit_length() // w + 1):
+            fx, fy, fo = (v >> j * w & mask for v in (x, y, out))
+            assert fy < p and fo == fx + c % p * fy < 1 << w
+        return out
+
+    monkeypatch.setattr(Field, "pack_width", pack_width)
+    monkeypatch.setattr(Field, "packed_axpy", packed_axpy)
+    # dense matrices of p - 1, and of 1 (every first update then adds
+    # (p - 1) times a pivot row entry), with the diagonal shifted by one to
+    # keep the rank full at every shape (p = 2 excepted)
+    for fill in (p - 1, 1):
+        for nrows, ncols in ((12, 12), (6, 12), (12, 6), (1, 20), (20, 1)):
+            rows = [[fill] * ncols for _ in range(nrows)]
+            for i in range(min(nrows, ncols)):
+                rows[i][i] = (fill - 1) % p
+            pivots, _ = rref_oracle([r[:] for r in rows], field)
+            assert_kernel_matches_oracle(field, rows)
+            if p > 3:
+                assert len(pivots) == min(nrows, ncols)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003), GF(2**61 - 1)], ids=repr)
+def test_pack_unpack_round_trip(field):
+    rng = SplitMix64(17)
+    for ncols in (0, 1, 7, 40):
+        row = random_matrix(field, 1, ncols, rng).rows[0] if ncols else []
+        for k in (1, 7, 1000):
+            w = field.pack_width(k)
+            packed = field.pack(row, w)
+            assert field.unpack(packed, ncols, w) == row
+            for c in range(ncols):
+                assert field.entry(packed, c, w) == row[c]
