@@ -464,7 +464,10 @@ FUZZ_COMMANDS = [
 SMALL_PRIMES = ["2", "3", "5", "7", "101", "32003"]
 LARGE_PRIMES = ["1000000007", "2305843009213693951"]
 NOT_PRIMES = ["-7", "0", "1", "9", "561", "3317044064679887385961981"]
-FUZZ_SECONDS = 5
+#: Per-example limit that catches hangs. The slowest legal invocation the
+#: grammar draws, a QQ correspondence or projection at n = 7, takes about
+#: 0.6 s, so the limit leaves a wide margin for a loaded host.
+FUZZ_SECONDS = 10
 
 
 @pytest.fixture(scope="module")

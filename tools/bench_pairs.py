@@ -7,13 +7,14 @@ Usage, from anywhere:
 
 For every workload and seed it runs ``perfbench/run.py`` of both
 checkouts, one after the other, the parent first on odd seeds and the
-change first on even ones.  Every run's record (the run metadata and the
-result line) goes to ``BENCH_<label>.json`` in the current directory,
-and the table printed at the end gives, per workload and metric, each
-side's q1 / median / q3, the number of pairs the change won (ties count
-for neither side) and the change of the median.  A metric's better
-direction is read from the change's ``BENCHMARK.json``.  Standard
-library only; each checkout needs its own ``perfbench/``.
+change first on even ones, each for ``BENCHMARK.json``'s ``run_seconds``.
+Every run's record (the run metadata and the result line) goes to
+``BENCH_<label>.json`` in the current directory, and the table printed
+at the end gives, per workload and metric, each side's q1 / median / q3,
+the number of pairs the change won (ties count for neither side) and the
+change of the median.  A metric's better direction is read from the
+change's ``BENCHMARK.json``.  Standard library only; each checkout needs
+its own ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -104,14 +105,13 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1-10 or 1,3,5")
-    ap.add_argument("--seconds", type=int, help="run length (default: BENCHMARK.json's)")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
     trees = dict(zip(SIDES, (os.path.abspath(args.parent), os.path.abspath(args.change))))
     with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
 
     out_path = f"BENCH_{args.label}.json"
