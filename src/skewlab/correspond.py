@@ -159,15 +159,17 @@ def _linear_syzygies(gens: list[HomogPoly], n: int) -> Matrix:
     return kernel_basis(Matrix(field, mat, 3 * n))
 
 
-def _skew_combinations(layers: list[Matrix], n: int, field: Field) -> Matrix:
-    """Kernel of the skewness constraints on Q with N = Q T.
+def _skew_combinations(layers: list[Matrix], n: int, field: Field) -> list:
+    """The one solution Q, row-major, of the skewness constraints with N = Q T.
 
     ``layers[k]`` is T_k, the y_k coefficient matrix of T.  Unknowns are
     the n^2 entries of Q in row-major order; for every pair i <= j and
     every variable the constraint is (Q T_k)_{ij} + (Q T_k)_{ji} = 0,
     whose coefficients on row i of Q are column j of T_k and vice versa.
     For i = j the row is (Q T_k)_{ii} = 0, half the constraint, with the
-    same solutions: the characteristic exceeds n - 3 >= 2.
+    same solutions: the characteristic exceeds n - 3 >= 2.  Returns the
+    canonical basis vector of the solution line, and raises
+    ``SkewNormalizationFailure`` with the dimension of any other space.
     """
     cols = [t.columns() for t in layers]
     rows = []
@@ -178,7 +180,12 @@ def _skew_combinations(layers: list[Matrix], n: int, field: Field) -> Matrix:
                 row[i * n : (i + 1) * n] = ck[j]
                 row[j * n : (j + 1) * n] = ck[i]
                 rows.append(row)
-    return kernel_basis(Matrix(field, rows, n * n))
+    q_space = kernel_basis(Matrix(field, rows, n * n))
+    if q_space.ncols != 1:
+        raise SkewNormalizationFailure(
+            f"skew solution space has dimension {q_space.ncols}, expected 1"
+        )
+    return q_space.column(0)
 
 
 def form_to_matrix(form: HomogPoly) -> tuple[PolyMatrix, Certificate]:
@@ -220,12 +227,7 @@ def form_to_matrix(form: HomogPoly) -> tuple[PolyMatrix, Certificate]:
         )
     # T[s][j] = sum_k syz[3j + k][s] y_k, so row j of T_k^T is syz row 3j + k
     layers = [Matrix(field, syz.rows[k::3], n).transpose() for k in range(3)]
-    q_space = _skew_combinations(layers, n, field)
-    if q_space.ncols != 1:
-        raise SkewNormalizationFailure(
-            f"skew solution space has dimension {q_space.ncols}, expected 1"
-        )
-    vec = q_space.column(0)
+    vec = _skew_combinations(layers, n, field)
     q = Matrix(field, [vec[r * n : (r + 1) * n] for r in range(n)], n)
     products = [q.mul(t).rows for t in layers]
     pencil = skew_linear(PolyMatrix(form.alphabet.dual(), 1, field, products))

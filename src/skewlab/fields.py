@@ -12,10 +12,16 @@ multiply-add, without reducing, and the width (``pack_width``) leaves
 room for every update the elimination can make.  Entries are reduced
 when read (``entry``) and when unpacked.  Over QQ a packed row is the
 list itself.
+
+The multimodular QQ kernel of ``linalg`` moves between QQ and ZZ here:
+``integer_rows`` clears denominators, ``modular_field`` gives its primes
+below 2**61 (found on first use), ``crt`` combines residues and
+``rational_vector`` reconstructs rationals from them (Wang).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Any
 
@@ -162,9 +168,6 @@ class Field:
         p = self.p
         return [(a + c * b) % p for a, b in zip(x, y)]
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     # -- packed rows (the elimination kernel's representation) ----------
 
     def pack_width(self, k: int) -> int:
@@ -254,3 +257,51 @@ QQ = Field()
 def GF(p: int) -> Field:
     """The prime field F_p (p must be prime)."""
     return Field(p)
+
+
+#: F_q for the primes q below 2**61, largest first, found by ``modular_field``.
+_MODULAR_FIELDS: list[Field] = []
+
+
+def modular_field(i: int) -> Field:
+    """F_q for the ``i``-th prime below 2**61, counting down from 2**61 - 1."""
+    while len(_MODULAR_FIELDS) <= i:
+        q = _MODULAR_FIELDS[-1].p - 2 if _MODULAR_FIELDS else (1 << 61) - 1
+        while not is_prime(q):
+            q -= 2
+        _MODULAR_FIELDS.append(Field(q))
+    return _MODULAR_FIELDS[i]
+
+
+def integer_rows(rows) -> list[list[int]]:
+    """Each rational row times the lcm of its denominators, as ints."""
+    out = []
+    for row in rows:
+        d = math.lcm(*[a.denominator for a in row])
+        out.append([a.numerator * (d // a.denominator) for a in row])
+    return out
+
+
+def crt(residues: list[int], m: int, vec: list[int], q: int) -> list[int]:
+    """The vector in [0, m q) that is ``residues`` mod m and ``vec`` mod the prime q."""
+    inv = pow(m, -1, q)
+    return [r + m * ((a - r) * inv % q) for r, a in zip(residues, vec)]
+
+
+def rational_vector(residues: list[int], m: int) -> list[Fraction] | None:
+    """The rationals a/b with |a|, b <= sqrt(m/2) that are ``residues`` mod m.
+
+    Wang's rational reconstruction, entry by entry; ``None`` when some
+    residue has no such rational.
+    """
+    bound = math.isqrt(m // 2)
+    out = []
+    for c in residues:
+        r0, r1, s0, s1 = m, c, 0, 1
+        while r1 > bound:
+            t = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - t * r1, s1, s0 - t * s1
+        if abs(s1) > bound or math.gcd(r1, s1) != 1:
+            return None
+        out.append(Fraction(r1, s1))
+    return out

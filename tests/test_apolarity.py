@@ -193,6 +193,16 @@ def test_dual_socle_generator_rejects_fat_annihilator():
         dual_socle_generator([ypoly("y0^2")], 2)
 
 
+@pytest.mark.parametrize("count", [3, 13])
+def test_qq_socle_failure_states_the_exact_dimension(count):
+    # independent degree-4 operators cut the 15 quartics down by one each
+    target = random_form(d_vars(), 4, QQ, SplitMix64(1))
+    gens = perp_slice(target, 4).basis_polys()[:count]
+    want = f"joint annihilator in degree 4 has dimension {15 - count}, expected 1"
+    with pytest.raises(NotGorensteinSocle, match=want):
+        dual_socle_generator(gens, 4)
+
+
 def test_perp_of_socle_recovers_generators():
     # closing the loop: gens -> socle -> annihilator contains the gens
     gens = [ypoly("y0^2"), ypoly("y1^2"), ypoly("y2^2")]

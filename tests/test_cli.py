@@ -465,8 +465,8 @@ SMALL_PRIMES = ["2", "3", "5", "7", "101", "32003"]
 LARGE_PRIMES = ["1000000007", "2305843009213693951"]
 NOT_PRIMES = ["-7", "0", "1", "9", "561", "3317044064679887385961981"]
 #: Per-example limit that catches hangs. The slowest legal invocation the
-#: grammar draws, a QQ correspondence or projection at n = 7, takes about
-#: 0.6 s, so the limit leaves a wide margin for a loaded host.
+#: grammar draws, a QQ projection or correspondence at n = 9, takes about
+#: 0.35 s, so the limit leaves a wide margin for a loaded host.
 FUZZ_SECONDS = 10
 
 
@@ -519,8 +519,7 @@ def fuzz_cases(draw):
     argv = list(draw(st.sampled_from(FUZZ_COMMANDS)))
     m = draw(st.integers(3, 5)) if argv[0] in ("random", "cohomology", "ledger") else 3
     field = draw(st.sampled_from(["fp", "fp", "q"]))
-    top = 7 if field == "q" else 9
-    orders = [n for n in range(m + 2, top + 1) if n % 2 or argv[0] != "correspond"]
+    orders = [n for n in range(m + 2, 10) if n % 2 or argv[0] != "correspond"]
     flags = {
         "--m": m,
         "--n": draw(st.sampled_from(orders)),
@@ -531,12 +530,9 @@ def fuzz_cases(draw):
     }
     for flag in draw(st.lists(st.sampled_from(sorted(FUZZ_FLAGS)), max_size=2, unique=True)):
         flags[flag] = draw(FUZZ_FLAGS[flag])
-    # A QQ correspondence at n = 9 takes about 3 s (ROADMAP item 3), and
-    # even-order sampling over a large prime walks p^2 chart points
-    # (ROADMAP item 4a): both are legal but far over the time budget.
+    # Even-order sampling over a large prime walks p^2 chart points
+    # (ROADMAP item 4a): legal but far over the time budget.
     n = flags["--n"]
-    if flags["--field"] == "q" and n == 9:
-        flags["--n"] = 7
     if argv == ["sample"] and flags["--p"] in LARGE_PRIMES and n is not None and n % 2 == 0:
         flags["--n"] = n - 1
     for flag, value in flags.items():

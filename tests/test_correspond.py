@@ -35,7 +35,7 @@ from skewlab.randomness import (
     random_skew_linear,
 )
 from skewlab.apolarity import catalecticant_rank, perp_slice
-from skewlab.correspond import _build_certificate
+from skewlab.correspond import _build_certificate, _skew_combinations
 from skewlab.skew import skew_linear
 
 
@@ -199,8 +199,15 @@ def test_form_to_matrix_genericity_exits(field, text, error):
 
 def test_form_to_matrix_needs_a_line_of_skew_solutions():
     # the first basis vector of a larger solution space is not tried
-    with pytest.raises(SkewNormalizationFailure, match="skew solution space has dimension 3"):
-        form_to_matrix(parse_poly("d0^2*d1*d2", d_vars(), GF(101)))
+    for field in (GF(101), QQ):
+        with pytest.raises(SkewNormalizationFailure, match="skew solution space has dimension 3"):
+            form_to_matrix(parse_poly("d0^2*d1*d2", d_vars(), field))
+
+
+def test_qq_skew_failure_states_the_exact_dimension():
+    # with no layers every Q is a solution: the kernel is all n^2 entries
+    with pytest.raises(SkewNormalizationFailure, match="has dimension 25, expected 1"):
+        _skew_combinations([], 5, QQ)
 
 
 def test_congruence_transport_preserves_the_form():

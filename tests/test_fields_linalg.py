@@ -2,7 +2,10 @@
 
 import ast
 import inspect
+import math
 import os
+import subprocess
+import sys
 import tokenize
 from fractions import Fraction
 
@@ -30,7 +33,7 @@ from skewlab import (
     rref,
     solve,
 )
-from skewlab import apolarity, cli, cohomology, correspond, degeneracy, linalg, rings
+from skewlab import apolarity, cli, cohomology, correspond, degeneracy, fields, linalg, rings
 from skewlab.fields import Field
 from skewlab.randomness import random_invertible
 
@@ -187,7 +190,7 @@ def test_kernel_basis_properties():
             ker = kernel_basis(a)
             assert ker.ncols == a.ncols - rank(a)
             for col in ker.columns():
-                assert all(field.is_zero(v) for v in a.mul_vec(col))
+                assert all(v == 0 for v in a.mul_vec(col))
             # each kernel column carries a unit at its own free coordinate
             _, pivots = rref(a)
             free = [j for j in range(a.ncols) if j not in pivots]
@@ -423,3 +426,154 @@ def test_pack_unpack_round_trip(field):
             assert field.unpack(packed, ncols, w) == row
             for c in range(ncols):
                 assert field.entry(packed, c, w) == row[c]
+
+
+# -- the multimodular QQ kernel -------------------------------------------------
+
+
+def oracle_kernel(mat):
+    """The QQ kernel from Fraction Gauss-Jordan (``rref_oracle``), canonical basis."""
+    rows = [list(r) for r in mat.rows]
+    pivots, _ = rref_oracle(rows, QQ)
+    cols = []
+    for fc in (c for c in range(mat.ncols) if c not in pivots):
+        v = [QQ.zero] * mat.ncols
+        v[fc] = QQ.one
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][fc]
+        cols.append(v)
+    return Matrix.from_columns(QQ, cols, mat.ncols)
+
+
+def record_eliminations(monkeypatch):
+    """The field and pivot columns of every elimination from here on."""
+    calls = []
+    real = linalg._rref_inplace
+
+    def recorded(rows, field):
+        out = real(rows, field)
+        calls.append((field, out[0]))
+        return out
+
+    monkeypatch.setattr(linalg, "_rref_inplace", recorded)
+    return calls
+
+
+@st.composite
+def rational_kernel_inputs(draw):
+    """A QQ matrix of entries over 100 bits with denominators, kernel dimension 0-3.
+
+    ``rank`` random rows span the row space (a generic kernel of dimension
+    ncols - rank); the other rows are rational combinations of them, and
+    the rows come in a drawn order.
+    """
+    ncols = draw(st.integers(1, 6))
+    rank = draw(st.integers(max(0, ncols - 3), ncols))
+    big = st.tuples(st.integers(1 << 100, 1 << 130), st.sampled_from([1, -1])).map(
+        lambda t: t[0] * t[1]
+    )
+    scalar = st.builds(Fraction, big | st.integers(-3, 3), st.integers(1, 1000))
+    basis = [[draw(scalar) for _ in range(ncols)] for _ in range(rank)]
+    rows = list(basis)
+    for _ in range(draw(st.integers(0, 3)) if basis else 0):
+        coeffs = [draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7))) for _ in basis]
+        rows.append([sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(ncols)])
+    rows = draw(st.permutations(rows)) if rows else rows
+    return Matrix(QQ, rows, ncols)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rational_kernel_inputs())
+def test_qq_kernel_matches_the_fraction_oracle(mat):
+    want = oracle_kernel(mat)
+    assert kernel_basis(mat) == want
+    # a kernel of dimension 0 or 1 comes from the primes, a larger one from Fractions
+    got = linalg._multimodular_kernel(mat)
+    if want.ncols <= 1:
+        assert got == want.columns()
+    else:
+        assert got is None
+
+
+def line_ending_in(last):
+    """A QQ matrix whose kernel is spanned by the integer vector (1, ..., ``last``).
+
+    The rows e_j - w_j e_0 span the integer lattice orthogonal to the
+    primitive vector w, so every reduction mod a prime keeps their rank;
+    the matrix rows are small combinations of them, with denominators.
+    """
+    rng = SplitMix64(5)
+    w = [1] + [rng.randint(-(10**18), 10**18) for _ in range(4)] + [last]
+    basis = [[-w[j]] + [int(i == j) for i in range(1, 6)] for j in range(1, 6)]
+    rows = []
+    for _ in range(7):
+        coeffs = [rng.randint(-9, 9) for _ in basis]
+        den = rng.randint(1, 50)
+        rows.append([Fraction(sum(c * b[k] for c, b in zip(coeffs, basis)), den) for k in range(6)])
+    return Matrix(QQ, rows), w
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["first-prime-restarts", "second-prime-dropped"])
+def test_a_prime_dividing_the_last_coordinate_is_dropped(monkeypatch, index):
+    q = fields.modular_field(index).p
+    mat, w = line_ending_in(3 * q)
+    calls = record_eliminations(monkeypatch)
+    ker = kernel_basis(mat)
+    assert ker == oracle_kernel(mat)
+    assert ker.column(0) == [Fraction(a, 3 * q) for a in w]
+    # mod q the kernel vector ends a coordinate early; the other primes see
+    # its true end, three of them reconstruct it, and no Fraction
+    # elimination runs
+    assert [f for f, _ in calls] == [fields.modular_field(i) for i in range(4)]
+    assert [pivots[-1] for _, pivots in calls] == [5 if i == index else 4 for i in range(4)]
+
+
+def test_the_integer_check_rejects_a_wrong_reconstruction(monkeypatch):
+    mat, _ = line_ending_in(7)
+    want = oracle_kernel(mat)
+    real = linalg.rational_vector
+
+    def off_by_one(residues, m):
+        v = real(residues, m)
+        if v is not None:
+            v[0] += 1
+        return v
+
+    monkeypatch.setattr(linalg, "rational_vector", off_by_one)
+    calls = record_eliminations(monkeypatch)
+    assert kernel_basis(mat) == want
+    # every prime's vector fails the check, and Fractions decide
+    assert len(calls) == linalg.MODULAR_PRIMES + 1 and calls[-1][0] == QQ
+
+
+def test_rational_reconstruction_round_trip():
+    rng = SplitMix64(3)
+    primes = [fields.modular_field(i).p for i in range(3)]
+    m = primes[0] * primes[1] * primes[2]
+    bound = math.isqrt(m // 2)
+    values = [Fraction(0), Fraction(1), Fraction(-bound), Fraction(1, bound), Fraction(bound, bound - 1)]
+    values += [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(20)]
+    residues = [a.numerator * pow(a.denominator, -1, m) % m for a in values]
+    assert fields.rational_vector(residues, m) == values
+    # the CRT of the residues mod each prime gives them back
+    combined, modulus = [r % primes[0] for r in residues], primes[0]
+    for q in primes[1:]:
+        combined = fields.crt(combined, modulus, [r % q for r in residues], q)
+        modulus *= q
+    assert combined == residues
+    # a fraction past the bound has no reconstruction within it
+    too_big = Fraction(bound + 1, bound + 2)
+    assert fields.rational_vector([too_big.numerator * pow(too_big.denominator, -1, m) % m], m) is None
+    assert fields.integer_rows([[Fraction(1, 6), Fraction(-3, 4), 2], []]) == [[2, -9, 24], []]
+
+
+def test_modular_primes_are_found_on_first_use():
+    code = (
+        "import skewlab, skewlab.fields as f; assert not f._MODULAR_FIELDS; "
+        "ps = [f.modular_field(i).p for i in range(4)]; "
+        "assert ps[0] == 2**61 - 1 and ps == sorted(ps, reverse=True); print(ps)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(skewlab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert all(is_prime(p) for p in ast.literal_eval(out.stdout))
