@@ -13,7 +13,7 @@ room for every update the elimination can make.  Entries are reduced
 when read (``entry``) and when unpacked.  Over QQ a packed row is the
 list itself.
 
-The multimodular QQ kernel of ``linalg`` moves between QQ and ZZ here:
+The multimodular QQ echelon form of ``linalg`` moves between QQ and ZZ here:
 ``integer_rows`` clears denominators, ``modular_field`` gives its primes
 below 2**61 (found on first use), ``crt`` combines residues and
 ``rational_vector`` reconstructs rationals from them (Wang).

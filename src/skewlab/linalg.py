@@ -13,25 +13,27 @@ each row in its packed form (``Field.pack``): the row update is
 and ``Matrix.mul`` adds rows with ``Field.axpy``.  Only the field reads,
 reduces and tells apart scalars.
 
-Over QQ, ``kernel_basis`` first solves modulo primes below 2**61.  It
-clears each row's denominators and eliminates mod the first prime: an
-empty kernel there is the answer, and a kernel of dimension 2 or more
-goes to Fraction elimination, which gives its exact dimension.  A line
-is combined over more primes by CRT, reconstructed as rationals and
-accepted only when the integer rows annihilate it; the QQ kernel is then
-that line, and the vector is the one Fraction elimination gives.  If
-``MODULAR_PRIMES`` primes give no such vector, Fractions decide.
+Over QQ every reduced echelon form is multimodular, and ``det`` alone
+runs Fraction elimination.  ``_multimodular_rref`` clears each row's
+denominators, eliminates modulo primes below 2**61, combines the primes
+with the best (rank, pivots) by CRT, reconstructs the free columns as
+rationals and accepts the result only when it reproduces the integer
+rows exactly; ``rref``, ``rank``, ``kernel_basis``, ``solve``,
+``inverse`` and ``column_space_canonical`` read their answers off it.  If
+``MODULAR_PRIMES`` primes give no echelon form that passes, Fractions
+decide.
 """
 
 from __future__ import annotations
 
+import math
 from operator import mul
 from typing import Sequence
 
 from .errors import DegreeMismatch, SingularMatrix, UsageError
-from .fields import Field, crt, integer_rows, modular_field, rational_vector
+from .fields import QQ, Field, crt, integer_rows, modular_field, rational_vector
 
-#: Primes the QQ kernel tries before it falls back to Fraction elimination:
+#: Primes a QQ echelon form tries before it falls back to Fraction elimination:
 #: rationals of up to about 3,900 bits over 3,900 bits.  The dual socle line
 #: of a QQ correspondence needs 20 primes at n = 11 and 84 at n = 17.
 MODULAR_PRIMES = 128
@@ -178,91 +180,113 @@ def _rref_inplace(rows: list[list], field: Field) -> tuple[list[int], object]:
     return pivots, factor
 
 
+def _multimodular_rref(rows: list[list], ncols: int) -> tuple[list[int], list[list]] | None:
+    """Pivots and nonzero rows of the reduced echelon form R of the QQ ``rows``, or ``None``.
+
+    The integer rows A (``integer_rows``) are reduced modulo the primes of
+    ``modular_field``.  Rank mod q is at most the rank over QQ, and a
+    prime that keeps the rank gives the QQ pivots or later ones, so the
+    best (rank, pivots) seen counts: the largest rank, then the
+    lexicographically first pivots.  A better prime restarts the CRT and
+    a worse one is skipped.  After each prime the free columns F of R are
+    reconstructed as rationals from the combined residues, and R is
+    accepted when A[:, F] = A[:, P] R[:, F] holds over ZZ for its pivot
+    columns P, each column scaled to integers.  That puts the row space
+    of A inside the row space of R, so rank A <= |P|, and the prime gives
+    rank A >= |P|: R is the reduced echelon form of A.  At full column
+    rank there is no free column, R is the identity and the first prime
+    proves it.  ``None`` means that no prime among ``MODULAR_PRIMES``
+    gave an R that passes.
+    """
+    ints = integer_rows(rows)
+    best = None
+    for i in range(MODULAR_PRIMES):
+        fq = modular_field(i)
+        red = list(ints)
+        pivots, _ = _rref_inplace(red, fq)
+        r = len(pivots)
+        if best is None or r > len(best) or r == len(best) and pivots < best:
+            # the first prime, or a better one: the primes kept so far were bad
+            pivot_set = set(pivots)
+            free = [c for c in range(ncols) if c not in pivot_set]
+            best, residues, modulus = pivots, [0] * (r * len(free)), 1
+        elif pivots != best:
+            continue  # a lower rank or later pivots: q is a bad prime
+        vec = [row[c] for row in red[:r] for c in free]
+        residues, modulus = crt(residues, modulus, vec, fq.p), modulus * fq.p
+        values = rational_vector(residues, modulus)
+        if values is None:
+            continue
+        cols = [values[k :: len(free)] for k in range(len(free))]
+        if _solves(ints, best, free, cols):
+            out = []
+            for k, pc in enumerate(best):
+                row = [QQ.zero] * ncols
+                row[pc] = QQ.one
+                for c, col in zip(free, cols):
+                    row[c] = col[k]
+                out.append(row)
+            return best, out
+    return None
+
+
+def _solves(ints: list[list[int]], pivots: list[int], free: list[int], cols: list[list]) -> bool:
+    """True when ``ints[:, free] == ints[:, pivots] * cols`` over ZZ, column by column."""
+    left = [[row[pc] for pc in pivots] for row in ints]
+    for c, col in zip(free, cols):
+        d = math.lcm(*[a.denominator for a in col])
+        z = [a.numerator * (d // a.denominator) for a in col]
+        if any(sum(map(mul, a, z)) != d * row[c] for a, row in zip(left, ints)):
+            return False
+    return True
+
+
+def _echelon(rows: list[list], field: Field, ncols: int) -> tuple[list[int], list[list]]:
+    """Pivot columns and nonzero rows of the reduced row echelon form of ``rows``.
+
+    Over QQ the multimodular form answers, and Fraction elimination only
+    when it gives none.  The row list is not changed.
+    """
+    found = _multimodular_rref(rows, ncols) if field.is_rational else None
+    if found is not None:
+        return found
+    rows = list(rows)
+    pivots, _ = _rref_inplace(rows, field)
+    return pivots, rows[: len(pivots)]
+
+
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
-    rows = list(mat.rows)
-    pivots, _ = _rref_inplace(rows, mat.field)
+    pivots, rows = _echelon(mat.rows, mat.field, mat.ncols)
+    rows += [[mat.field.zero] * mat.ncols for _ in range(mat.nrows - len(rows))]
     return Matrix(mat.field, rows, mat.ncols), pivots
 
 
 def rank(mat: Matrix) -> int:
-    return len(_rref_inplace(list(mat.rows), mat.field)[0])
-
-
-def _kernel_columns(rows: list[list], field: Field, ncols: int) -> list[list]:
-    """The canonical kernel basis vectors of ``rows``; the row list is not changed."""
-    rows = list(rows)
-    pivots, _ = _rref_inplace(rows, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    cols = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(rows[i][fc])
-        cols.append(v)
-    return cols
-
-
-def _annihilates(ints: list[list[int]], v: list) -> bool:
-    """True when the integer rows ``ints`` times the rational vector ``v`` is zero."""
-    (w,) = integer_rows([v])
-    return not any(sum(map(mul, row, w)) for row in ints)
-
-
-def _multimodular_kernel(mat: Matrix) -> list[list] | None:
-    """The QQ kernel of ``mat`` from its kernels mod large primes, or ``None``.
-
-    Rank mod q is at most rank over QQ, so an empty kernel mod the first
-    prime is the answer, and a line mod q bounds the QQ kernel to a line.
-    The line mod q, with its unit at its last nonzero coordinate, is the
-    QQ kernel vector mod q, unless q divides that vector's last coordinate
-    and the vector mod q ends earlier: such primes are dropped, and a
-    later end restarts the CRT.  After each prime the rationals of the
-    combined residues are tried; a vector that ends in 1 and that the
-    integer rows annihilate spans the QQ kernel, and is its canonical
-    basis vector.  ``None`` asks for Fraction elimination: the kernel
-    mod the first prime has dimension 2 or more, so the exact dimension
-    is needed, or no prime among ``MODULAR_PRIMES`` gave a vector.
-    """
-    ints = integer_rows(mat.rows)
-    residues, modulus, last = [], 1, -1
-    for i in range(MODULAR_PRIMES):
-        fq = modular_field(i)
-        cols = _kernel_columns(ints, fq, mat.ncols)
-        if not cols:
-            return []
-        if len(cols) > 1:
-            if i == 0:
-                return None
-            continue
-        (vec,) = cols
-        end = max(j for j, a in enumerate(vec) if a)
-        if end < last:
-            continue
-        if end > last:
-            residues, modulus, last = vec, fq.p, end
-        else:
-            residues, modulus = crt(residues, modulus, vec, fq.p), modulus * fq.p
-        v = rational_vector(residues, modulus)
-        if v is not None and v[last] == 1 and _annihilates(ints, v):
-            return [v]
-    return None
+    """The rank; over QQ a wide matrix is transposed, so that full rank has no free column."""
+    if mat.field.is_rational and mat.nrows < mat.ncols:
+        mat = mat.transpose()
+    return len(_echelon(mat.rows, mat.field, mat.ncols)[0])
 
 
 def kernel_basis(mat: Matrix) -> Matrix:
     """Basis of the right kernel, as columns of a ``ncols x k`` matrix.
 
     Each basis vector carries a unit at its own free coordinate and zeros
-    at the other free coordinates, which makes the basis canonical.  Over
-    QQ the kernel is first sought modulo large primes.
+    at the other free coordinates, which makes the basis canonical.
     """
-    field = mat.field
-    cols = _multimodular_kernel(mat) if field.is_rational else None
-    if cols is None:
-        cols = _kernel_columns(mat.rows, field, mat.ncols)
-    return Matrix.from_columns(field, cols, mat.ncols)
+    field, ncols = mat.field, mat.ncols
+    pivots, rows = _echelon(mat.rows, field, ncols)
+    pivot_set = set(pivots)
+    cols = []
+    for fc in range(ncols):
+        if fc not in pivot_set:
+            v = [field.zero] * ncols
+            v[fc] = field.one
+            for row, pc in zip(rows, pivots):
+                v[pc] = field.neg(row[fc])
+            cols.append(v)
+    return Matrix.from_columns(field, cols, ncols)
 
 
 def solve(mat: Matrix, rhs: Sequence) -> list | None:
@@ -273,16 +297,13 @@ def solve(mat: Matrix, rhs: Sequence) -> list | None:
     """
     if len(rhs) != mat.nrows:
         raise DegreeMismatch("right-hand side length mismatch")
-    field = mat.field
-    rows = [r + [b] for r, b in zip(mat.rows, rhs)]
-    if mat.nrows == 0:
-        return [field.zero] * mat.ncols
-    pivots, _ = _rref_inplace(rows, field)
-    if pivots and pivots[-1] == mat.ncols:
+    field, ncols = mat.field, mat.ncols
+    pivots, rows = _echelon([r + [b] for r, b in zip(mat.rows, rhs)], field, ncols + 1)
+    if pivots and pivots[-1] == ncols:
         return None
-    x = [field.zero] * mat.ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][mat.ncols]
+    x = [field.zero] * ncols
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[ncols]
     return x
 
 
@@ -301,9 +322,8 @@ def inverse(mat: Matrix) -> Matrix:
     field = mat.field
     n = mat.nrows
     ident = Matrix.identity(field, n)
-    rows = [r + e for r, e in zip(mat.rows, ident.rows)]
-    pivots, _ = _rref_inplace(rows, field)
-    if len(pivots) < n or pivots != list(range(n)):
+    pivots, rows = _echelon([r + e for r, e in zip(mat.rows, ident.rows)], field, 2 * n)
+    if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
     return Matrix(field, [r[n:] for r in rows], n)
 
@@ -314,7 +334,5 @@ def column_space_canonical(mat: Matrix) -> Matrix:
     Unique for the subspace, so equality of results decides equality of
     column spans.
     """
-    rows = [mat.column(j) for j in range(mat.ncols)]
-    pivots, _ = _rref_inplace(rows, mat.field)
-    return Matrix.from_columns(mat.field, rows[: len(pivots)], mat.nrows)
-
+    _, rows = _echelon(mat.columns(), mat.field, mat.nrows)
+    return Matrix.from_columns(mat.field, rows, mat.nrows)

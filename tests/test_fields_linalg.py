@@ -1,7 +1,9 @@
 """Field arithmetic and exact dense linear algebra, cross-checked with sympy."""
 
 import ast
+import importlib.util
 import inspect
+import json
 import math
 import os
 import subprocess
@@ -428,13 +430,19 @@ def test_pack_unpack_round_trip(field):
                 assert field.entry(packed, c, w) == row[c]
 
 
-# -- the multimodular QQ kernel -------------------------------------------------
+# -- the multimodular QQ echelon form ---------------------------------------------
+
+
+def oracle_echelon(rows):
+    """Pivots and nonzero rows of the RREF from Fraction Gauss-Jordan (``rref_oracle``)."""
+    rows = [list(r) for r in rows]
+    pivots, _ = rref_oracle(rows, QQ)
+    return pivots, rows[: len(pivots)]
 
 
 def oracle_kernel(mat):
     """The QQ kernel from Fraction Gauss-Jordan (``rref_oracle``), canonical basis."""
-    rows = [list(r) for r in mat.rows]
-    pivots, _ = rref_oracle(rows, QQ)
+    pivots, rows = oracle_echelon(mat.rows)
     cols = []
     for fc in (c for c in range(mat.ncols) if c not in pivots):
         v = [QQ.zero] * mat.ncols
@@ -459,6 +467,22 @@ def record_eliminations(monkeypatch):
     return calls
 
 
+BIG = st.tuples(st.integers(1 << 100, 1 << 130), st.sampled_from([1, -1])).map(
+    lambda t: t[0] * t[1]
+)
+RATIONAL = st.builds(Fraction, BIG | st.integers(-3, 3), st.integers(1, 1000))
+
+
+def combinations(draw, basis, count, ncols):
+    """``count`` rational combinations of the rows ``basis`` (zero rows when it is empty)."""
+    rows = []
+    for _ in range(count):
+        coeffs = [draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7))) for _ in basis]
+        row = [sum((c * b[j] for c, b in zip(coeffs, basis)), Fraction(0)) for j in range(ncols)]
+        rows.append(row)
+    return rows
+
+
 @st.composite
 def rational_kernel_inputs(draw):
     """A QQ matrix of entries over 100 bits with denominators, kernel dimension 0-3.
@@ -469,15 +493,8 @@ def rational_kernel_inputs(draw):
     """
     ncols = draw(st.integers(1, 6))
     rank = draw(st.integers(max(0, ncols - 3), ncols))
-    big = st.tuples(st.integers(1 << 100, 1 << 130), st.sampled_from([1, -1])).map(
-        lambda t: t[0] * t[1]
-    )
-    scalar = st.builds(Fraction, big | st.integers(-3, 3), st.integers(1, 1000))
-    basis = [[draw(scalar) for _ in range(ncols)] for _ in range(rank)]
-    rows = list(basis)
-    for _ in range(draw(st.integers(0, 3)) if basis else 0):
-        coeffs = [draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7))) for _ in basis]
-        rows.append([sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(ncols)])
+    basis = [[draw(RATIONAL) for _ in range(ncols)] for _ in range(rank)]
+    rows = basis + combinations(draw, basis, draw(st.integers(0, 3)) if basis else 0, ncols)
     rows = draw(st.permutations(rows)) if rows else rows
     return Matrix(QQ, rows, ncols)
 
@@ -485,14 +502,38 @@ def rational_kernel_inputs(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(rational_kernel_inputs())
 def test_qq_kernel_matches_the_fraction_oracle(mat):
-    want = oracle_kernel(mat)
-    assert kernel_basis(mat) == want
-    # a kernel of dimension 0 or 1 comes from the primes, a larger one from Fractions
-    got = linalg._multimodular_kernel(mat)
-    if want.ncols <= 1:
-        assert got == want.columns()
-    else:
-        assert got is None
+    assert kernel_basis(mat) == oracle_kernel(mat)
+    # the kernel of every dimension is read off the multimodular echelon form
+    assert linalg._multimodular_rref(mat.rows, mat.ncols) == oracle_echelon(mat.rows)
+
+
+@st.composite
+def rational_matrices(draw):
+    """A QQ matrix with entries as above: zero, rank-deficient, tall or wide.
+
+    ``rank`` random rows and ``nrows - rank`` rational combinations of them,
+    in a drawn order; rank 0 gives the zero matrix.
+    """
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    basis = [[draw(RATIONAL) for _ in range(ncols)] for _ in range(rank)]
+    rows = draw(st.permutations(basis + combinations(draw, basis, nrows - rank, ncols)))
+    return Matrix(QQ, rows, ncols)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(rational_matrices())
+def test_qq_echelon_forms_match_the_fraction_oracle(mat):
+    pivots, rows = oracle_echelon(mat.rows)
+    _, col_rows = oracle_echelon(mat.columns())
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_eliminations(mp)
+        assert rank(mat) == len(pivots)
+        assert column_space_canonical(mat) == Matrix.from_columns(QQ, col_rows, mat.nrows)
+        assert kernel_basis(mat) == oracle_kernel(mat)
+        assert rref(mat) == (Matrix(QQ, rows + [[0] * mat.ncols] * (mat.nrows - len(rows))), pivots)
+    # the primes answer every call, and no Fraction elimination runs
+    assert calls and all(field != QQ for field, _ in calls)
 
 
 def line_ending_in(last):
@@ -505,12 +546,18 @@ def line_ending_in(last):
     rng = SplitMix64(5)
     w = [1] + [rng.randint(-(10**18), 10**18) for _ in range(4)] + [last]
     basis = [[-w[j]] + [int(i == j) for i in range(1, 6)] for j in range(1, 6)]
+    return small_combinations(basis, 7, rng), w
+
+
+def small_combinations(basis, count, rng):
+    """``count`` small combinations of the integer rows ``basis``, over small denominators."""
     rows = []
-    for _ in range(7):
+    for _ in range(count):
         coeffs = [rng.randint(-9, 9) for _ in basis]
         den = rng.randint(1, 50)
-        rows.append([Fraction(sum(c * b[k] for c, b in zip(coeffs, basis)), den) for k in range(6)])
-    return Matrix(QQ, rows), w
+        row = [sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(len(basis[0]))]
+        rows.append([Fraction(a, den) for a in row])
+    return Matrix(QQ, rows)
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["first-prime-restarts", "second-prime-dropped"])
@@ -528,6 +575,66 @@ def test_a_prime_dividing_the_last_coordinate_is_dropped(monkeypatch, index):
     assert [pivots[-1] for _, pivots in calls] == [5 if i == index else 4 for i in range(4)]
 
 
+def rank_dropped_by(q):
+    """A 5 x 6 QQ matrix of rank 3 whose integer rows have rank 2 mod the prime q."""
+    rng = SplitMix64(6)
+    basis = [[rng.randint(-999, 999) for _ in range(6)] for _ in range(3)]
+    basis[2] = [q * c + a + b for a, b, c in zip(*basis)]
+    return small_combinations(basis, 5, rng)
+
+
+def pivots_delayed_by(q):
+    """A 5 x 6 QQ matrix of rank 3 with pivots 0, 1, 2 whose first column q divides."""
+    rng = SplitMix64(7)
+    basis = [
+        [q * rng.randint(1, 999)] + [rng.randint(-999, 999) for _ in range(5)] for _ in range(3)
+    ]
+    return small_combinations(basis, 5, rng)
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["first-prime-restarts", "second-prime-skipped"])
+@pytest.mark.parametrize(
+    "build, bad",
+    [(rank_dropped_by, [0, 1]), (pivots_delayed_by, [1, 2, 3])],
+    ids=["rank", "pivots"],
+)
+def test_a_bad_prime_restarts_the_crt_or_is_skipped(monkeypatch, build, bad, index):
+    q = fields.modular_field(index).p
+    mat = build(q)
+    pivots, rows = oracle_echelon(mat.rows)
+    assert pivots == [0, 1, 2]
+    calls = record_eliminations(monkeypatch)
+    assert kernel_basis(mat) == oracle_kernel(mat)
+    # only the prime q gives a lower rank or later pivots, and the primes
+    # answer without Fractions
+    assert [f for f, _ in calls] == [fields.modular_field(i) for i in range(len(calls))]
+    assert [p for _, p in calls] == [bad if i == index else pivots for i in range(len(calls))]
+    calls.clear()
+    assert rank(mat) == 3
+    assert column_space_canonical(mat.transpose()) == Matrix.from_columns(QQ, rows, mat.ncols)
+    assert all(f != QQ for f, _ in calls)
+
+
+def big_rational_matrix(nrows, ncols, rng):
+    entry = lambda: Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 1000))
+    return Matrix(QQ, [[entry() for _ in range(ncols)] for _ in range(nrows)], ncols)
+
+
+def test_a_full_rank_qq_rank_takes_one_prime(monkeypatch):
+    rng = SplitMix64(9)
+    calls = record_eliminations(monkeypatch)
+    for nrows, ncols in ((4, 7), (7, 4), (5, 5)):
+        k = min(nrows, ncols)
+        calls.clear()
+        assert rank(big_rational_matrix(nrows, ncols, rng)) == k
+        assert calls == [(fields.modular_field(0), list(range(k)))]
+        # one short of full rank, the free column takes more primes
+        short = big_rational_matrix(nrows, k - 1, rng).mul(big_rational_matrix(k - 1, ncols, rng))
+        calls.clear()
+        assert rank(short) == k - 1
+        assert len(calls) > 1 and all(f != QQ for f, _ in calls)
+
+
 def test_the_integer_check_rejects_a_wrong_reconstruction(monkeypatch):
     mat, _ = line_ending_in(7)
     want = oracle_kernel(mat)
@@ -542,8 +649,25 @@ def test_the_integer_check_rejects_a_wrong_reconstruction(monkeypatch):
     monkeypatch.setattr(linalg, "rational_vector", off_by_one)
     calls = record_eliminations(monkeypatch)
     assert kernel_basis(mat) == want
-    # every prime's vector fails the check, and Fractions decide
-    assert len(calls) == linalg.MODULAR_PRIMES + 1 and calls[-1][0] == QQ
+    # every prime's echelon form fails the check, and Fractions decide
+    primes = [fields.modular_field(i) for i in range(linalg.MODULAR_PRIMES)]
+    assert [f for f, _ in calls] == primes + [QQ]
+
+
+def test_a_qq_correspondence_runs_no_fraction_elimination(monkeypatch, capsys):
+    # the nine seed-1 qq-correspond cases of the benchmark, through the CLI
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    calls = record_eliminations(monkeypatch)
+    argvs = [argv for _, argv in workloads.case_argvs("qq-correspond", 1)]
+    assert len(argvs) == 9
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["certificate"]["ok"]
+    assert calls and not [f for f, _ in calls if f == QQ]
 
 
 def test_rational_reconstruction_round_trip():

@@ -1,0 +1,167 @@
+"""Record or compare the outcomes of a fixed set of skewlab cases.
+
+Usage, from anywhere:
+
+    python3 tools/outcomes.py --write OUTCOMES.json      # record this tree
+    python3 tools/outcomes.py --compare OUTCOMES.json    # rerun and compare
+    python3 tools/outcomes.py --tree OTHER --compare OUTCOMES.json
+
+The manifest is fixed, and every case is a pure function of its inputs:
+
+* ``cli``: 131 CLI invocations: ``correspond`` both ways at odd
+  n = 5..13 over F_32003, F_5 and F_7 and at n = 5, 7, 9 over QQ, seeds 1
+  and 2; ``project``, ``sample``, ``cohomology``, ``ledger`` and
+  ``random`` over several fields; three usage errors.  Each records the
+  exit code and the sha256 of stdout and of stderr.
+* ``fp-forms``: ``form_to_matrix`` of ``random_form(d_vars(), n - 3,
+  GF(p), SplitMix64(seed))`` for p in 7, 11, 13, 17, 101 with seeds
+  0..399, 0..399 and 0..99 at n = 5, 7, 9 (4,500 forms).
+* ``qq-forms``: the same over QQ, seeds 0..59 at n = 5 and 0..14 at
+  n = 7 (75 forms).
+
+A form records the sha256 of its pencil and certificate JSON, or the
+class and message of the genericity error it raises.  The cases run in
+one process on the ``src/`` of ``--tree`` (default: the checkout this
+file is in); the tallies per exit code and per outcome class are printed
+at the end.  ``--compare`` exits 1 when any case differs from the file.
+Standard library only; takes about a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from collections import Counter
+
+FP_FORMS = [
+    (p, n, count) for p in (7, 11, 13, 17, 101) for n, count in ((5, 400), (7, 400), (9, 100))
+]
+QQ_FORMS = [(None, 5, 60), (None, 7, 15)]
+
+
+def cli_cases() -> list[list[str]]:
+    """The 131 CLI invocations."""
+    cases = []
+    for field in (["--p", "32003"], ["--p", "5"], ["--p", "7"], ["--field", "q"]):
+        orders = (5, 7, 9) if field[0] == "--field" else (5, 7, 9, 11, 13)
+        for n in orders:
+            for direction in ("from-matrix", "from-form"):
+                for seed in ("1", "2"):
+                    cases.append(["correspond", direction, "--n", str(n), *field, "--seed", seed])
+    for n in (5, 7, 9):
+        for seed in ("1", "2"):
+            cases.append(["project", "--n", str(n), "--field", "q", "--seed", seed])
+    for n in (7, 9, 11):
+        cases.append(["project", "--n", str(n), "--seed", "1"])
+    fields = [["--p", str(p)] for p in (2, 3, 5, 7, 101, 32003)] + [["--field", "q"]]
+    for field in fields:
+        for n in ("7", "6"):
+            cases.append(["sample", "--m", "3", "--n", n, *field, "--seed", "1", "--trials", "3"])
+    cases.append(["sample", "--m", "4", "--n", "7", "--seed", "1", "--trials", "3"])
+    for m, n in ((3, 5), (3, 6), (4, 7), (4, 8)):
+        cases.append(["cohomology", "--m", str(m), "--n", str(n)])
+    cases += [["cohomology", "--grid"], ["cohomology", "--grid", "--csv"], ["cohomology", "--csv"]]
+    cases.append(["ledger", "--m", "4", "--n", "8"])
+    for field in (["--p", "32003"], ["--field", "q"], ["--p", "2"]):
+        for m in ("3", "4"):
+            for n in ("5", "6", "7", "8"):
+                cases.append(["random", "--m", m, "--n", n, *field, "--seed", "1"])
+    cases += [
+        ["correspond", "from-matrix", "--n", "7"],
+        ["correspond", "from-matrix", "--n", "7", "--p", "9", "--seed", "1"],
+        ["correspond", "from-matrix", "--m", "4", "--n", "7", "--seed", "1"],
+    ]
+    return cases
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run_cli(main, argv: list[str]) -> str:
+    """``"<exit code> <stdout sha256> <stderr sha256>"`` of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        except Exception as exc:  # a traceback is recorded, not raised
+            rc = f"traceback:{type(exc).__name__}"
+    return f"{rc} {sha(out.getvalue())} {sha(err.getvalue())}"
+
+
+def run_forms(cells, sk) -> dict[str, str]:
+    """Per form: ``"ok <sha256>"`` or ``"<error class>: <message>"``."""
+    out = {}
+    for p, n, count in cells:
+        field = sk.QQ if p is None else sk.GF(p)
+        for seed in range(count):
+            form = sk.random_form(sk.d_vars(), n - 3, field, sk.SplitMix64(seed))
+            try:
+                pm, cert = sk.form_to_matrix(form)
+            except sk.GenericityError as exc:
+                out[f"{field!r}/n{n}/{seed}"] = f"{type(exc).__name__}: {exc}"
+                continue
+            doc = {
+                "matrix": sk.poly_matrix_to_json(pm, "skew-linear"),
+                "certificate": cert.to_json(),
+            }
+            out[f"{field!r}/n{n}/{seed}"] = "ok " + sha(json.dumps(doc, sort_keys=True))
+    return out
+
+
+def run_all(tree: str) -> dict[str, dict[str, str]]:
+    sys.path.insert(0, os.path.join(tree, "src"))
+    import skewlab as sk
+    from skewlab import cli
+
+    return {
+        "cli": {" ".join(argv): run_cli(cli.main, argv) for argv in cli_cases()},
+        "fp-forms": run_forms(FP_FORMS, sk),
+        "qq-forms": run_forms(QQ_FORMS, sk),
+    }
+
+
+def tally(outcomes: dict[str, dict[str, str]]) -> dict[str, dict[str, int]]:
+    """Per part: cases per exit code (``cli``) or per outcome class (forms)."""
+    return {
+        part: dict(sorted(Counter(v.split(" ")[0].rstrip(":") for v in cases.values()).items()))
+        for part, cases in outcomes.items()
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tree", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", metavar="FILE", help="record the outcomes to FILE")
+    mode.add_argument("--compare", metavar="FILE", help="compare the outcomes with FILE")
+    args = ap.parse_args(argv)
+
+    outcomes = run_all(os.path.abspath(args.tree))
+    print(json.dumps(tally(outcomes)))
+    if args.write:
+        with open(args.write, "w", encoding="utf-8") as fh:
+            json.dump(outcomes, fh, indent=0, sort_keys=True)
+            fh.write("\n")
+        return 0
+    with open(args.compare, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    differ = [
+        f"{part}: {case}"
+        for part in sorted(set(recorded) | set(outcomes))
+        for case in sorted(set(recorded.get(part, {})) | set(outcomes.get(part, {})))
+        if recorded.get(part, {}).get(case) != outcomes.get(part, {}).get(case)
+    ]
+    print("\n".join(differ) if differ else "all cases match")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
