@@ -33,7 +33,6 @@ from .fields import GF, QQ, Field, is_prime
 from .linalg import (
     Matrix,
     column_space_canonical,
-    det,
     inverse,
     kernel_basis,
     rank,

@@ -23,7 +23,7 @@ from .errors import (
     NoPointsFound,
     RangeError,
 )
-from .linalg import Matrix, det, kernel_basis, rank, solve
+from .linalg import Matrix, kernel_basis, rank, solve
 from .randomness import SplitMix64, random_point
 from .rings import GradedSlice, HomogPoly, dim_homog, poly_to_json
 from .skew import (
@@ -100,7 +100,8 @@ def incidence_check(pencil: PolyMatrix, point) -> IncidenceResult:
     """Exact rank-drop test for a point against a tall pencil.
 
     Evaluates the pencil, computes the rank, and independently checks
-    that every maximal minor vanishes; the two routes must agree.
+    that every maximal minor vanishes, by the 3x3 formula when m = 3 and
+    by the rank of the minor otherwise; the two routes must agree.
     """
     if pencil.nrows <= pencil.ncols:
         raise RangeError("incidence expects a tall pencil")
@@ -114,10 +115,10 @@ def incidence_check(pencil: PolyMatrix, point) -> IncidenceResult:
     for rows_sel in combinations(range(a.nrows), m):
         n_minors += 1
         if m == 3:
-            v = field.from_int(_det3(*(a.rows[i] for i in rows_sel)))
+            zero_minor = field.from_int(_det3(*(a.rows[i] for i in rows_sel))) == zero
         else:
-            v = det(Matrix(field, [a.rows[i] for i in rows_sel], m))
-        if v != zero:
+            zero_minor = rank(Matrix(field, [a.rows[i] for i in rows_sel], m)) < m
+        if not zero_minor:
             all_zero = False
     ok = r < m
     if ok != all_zero:
@@ -263,7 +264,7 @@ def verify_in_image(datum: ProjectionDatum) -> tuple[PolyMatrix, Matrix, Certifi
             raise InternalError("annihilator basis not in the sub-Pfaffian span")
         cols.append(sol)
     a_mat = Matrix.from_columns(field, cols, datum.n)
-    if det(a_mat) == field.zero:
+    if rank(a_mat) < datum.n:
         raise InternalError("sub-Pfaffian change of basis is singular")
     return pencil, a_mat, cert
 

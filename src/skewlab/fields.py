@@ -5,17 +5,16 @@ rationals (always in lowest terms with positive denominator), ``int`` in
 ``[0, p)`` for F_p. A ``Field`` instance bundles the arithmetic so that
 matrix and polynomial code stays field-agnostic.
 
-The elimination kernel works on packed rows.  Over F_p a row is one
+The F_p elimination kernel works on packed rows.  A row is one
 nonnegative int with a fixed-width field per entry, column 0 in the low
 bits; a row update adds a multiple of another row to it in one big-int
 multiply-add, without reducing, and the width (``pack_width``) leaves
 room for every update the elimination can make.  Entries are reduced
-when read (``entry``) and when unpacked.  Over QQ a packed row is the
-list itself.
+when read (``entry``) and when unpacked.
 
 The multimodular QQ echelon form of ``linalg`` moves between QQ and ZZ here:
 ``integer_rows`` clears denominators, ``modular_field`` gives its primes
-below 2**61 (found on first use), ``crt`` combines residues and
+between 2**60 and 2**61 (found on first use), ``crt`` combines residues and
 ``rational_vector`` reconstructs rationals from them (Wang).
 """
 
@@ -168,7 +167,7 @@ class Field:
         p = self.p
         return [(a + c * b) % p for a, b in zip(x, y)]
 
-    # -- packed rows (the elimination kernel's representation) ----------
+    # -- packed F_p rows (the elimination kernel's representation) ------
 
     def pack_width(self, k: int) -> int:
         """Bits per entry of a packed row that takes at most ``k`` updates.
@@ -177,32 +176,26 @@ class Field:
         2 bits(p) + bits(k) + 1 bits never carry into the next entry;
         rounding up to whole bytes keeps packing linear.
         """
-        return 0 if self.p is None else (2 * self.p.bit_length() + k.bit_length() + 8) // 8 * 8
+        return (2 * self.p.bit_length() + k.bit_length() + 8) // 8 * 8
 
     def pack(self, row: list, w: int):
-        """``row`` as one int with entry j in bits [j w, (j + 1) w); a list over QQ."""
-        if self.p is None:
-            return row
+        """``row`` as one int with entry j in bits [j w, (j + 1) w)."""
         size, p = w // 8, self.p
         return int.from_bytes(b"".join([(a % p).to_bytes(size, "little") for a in row]), "little")
 
     def unpack(self, packed, ncols: int, w: int, scale=1) -> list:
         """The reduced entries of a packed row, each multiplied by ``scale``."""
-        if self.p is None:
-            return packed if scale == 1 else [a * scale for a in packed]
         size, p, read = w // 8, self.p, int.from_bytes
         data = packed.to_bytes(ncols * size, "little")
         return [read(data[j : j + size], "little") * scale % p for j in range(0, len(data), size)]
 
     def entry(self, packed, c: int, w: int):
         """Entry ``c`` of a packed row, reduced."""
-        if self.p is None:
-            return packed[c]
         return (packed >> c * w & (1 << w) - 1) % self.p
 
     def packed_axpy(self, c, x, y):
-        """The packed row ``x + c * y``; over F_p it adds ``c mod p`` times ``y`` unreduced."""
-        return self.axpy(c, x, y) if self.p is None else x + c % self.p * y
+        """The packed row ``x + c * y``: it adds ``c mod p`` times ``y`` unreduced."""
+        return x + c % self.p * y
 
     # -- text and JSON -------------------------------------------------
 
@@ -264,7 +257,10 @@ _MODULAR_FIELDS: list[Field] = []
 
 
 def modular_field(i: int) -> Field:
-    """F_q for the ``i``-th prime below 2**61, counting down from 2**61 - 1."""
+    """F_q for the ``i``-th prime below 2**61, counting down from 2**61 - 1.
+
+    It lies above 2**60 for every i below 2**54, as the QQ prime bound needs.
+    """
     while len(_MODULAR_FIELDS) <= i:
         q = _MODULAR_FIELDS[-1].p - 2 if _MODULAR_FIELDS else (1 << 61) - 1
         while not is_prime(q):

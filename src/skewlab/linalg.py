@@ -1,27 +1,25 @@
 """Exact dense linear algebra over QQ and F_p.
 
-Every row operation happens in one kernel, ``_rref_inplace``:
+Every row operation over F_p happens in one kernel, ``_rref_inplace``:
 Gauss-Jordan elimination that takes the first nonzero entry in scan
-order as pivot and returns the pivot columns together with the
-determinant factor.  ``rref``, ``rank``, ``kernel_basis``, ``solve``,
-``det``, ``inverse`` and ``column_space_canonical`` are thin wrappers
-over it.  Reduced echelon forms are fully normalized and kernel bases
-put a unit at their own free coordinate, so every result is canonical.
-Matrices are dense lists of lists.  Inside the kernel the field holds
-each row in its packed form (``Field.pack``): the row update is
-``Field.packed_axpy``, which over F_p is one big-integer multiply-add,
-and ``Matrix.mul`` adds rows with ``Field.axpy``.  Only the field reads,
-reduces and tells apart scalars.
+order as pivot and returns the pivot columns.  ``rref``, ``rank``,
+``kernel_basis``, ``solve``, ``inverse`` and ``column_space_canonical``
+are thin wrappers over one reduced echelon form, ``_echelon``.  Reduced
+echelon forms are fully normalized and kernel bases put a unit at their
+own free coordinate, so every result is canonical.  Matrices are dense
+lists of lists.  Inside the kernel the field holds each row in its
+packed form (``Field.pack``): the row update is ``Field.packed_axpy``,
+one big-integer multiply-add, and ``Matrix.mul`` adds rows with
+``Field.axpy``.  Only the field reads, reduces and tells apart scalars.
 
-Over QQ every reduced echelon form is multimodular, and ``det`` alone
-runs Fraction elimination.  ``_multimodular_rref`` clears each row's
-denominators, eliminates modulo primes below 2**61, combines the primes
-with the best (rank, pivots) by CRT, reconstructs the free columns as
-rationals and accepts the result only when it reproduces the integer
-rows exactly; ``rref``, ``rank``, ``kernel_basis``, ``solve``,
-``inverse`` and ``column_space_canonical`` read their answers off it.  If
-``MODULAR_PRIMES`` primes give no echelon form that passes, Fractions
-decide.
+Over QQ there is one elimination path, and it is multimodular.
+``_multimodular_rref`` clears each row's denominators, eliminates modulo
+primes between 2**60 and 2**61, combines the primes with the best
+(rank, pivots) by CRT, reconstructs the free columns as rationals and
+accepts the result only when it reproduces the integer rows exactly.  A
+Hadamard bound on the minors of the integer rows fixes how many primes
+that can take; past it the input has broken a proof, and
+``InternalError`` says so.
 """
 
 from __future__ import annotations
@@ -30,13 +28,8 @@ import math
 from operator import mul
 from typing import Sequence
 
-from .errors import DegreeMismatch, SingularMatrix, UsageError
+from .errors import DegreeMismatch, InternalError, SingularMatrix, UsageError
 from .fields import QQ, Field, crt, integer_rows, modular_field, rational_vector
-
-#: Primes a QQ echelon form tries before it falls back to Fraction elimination:
-#: rationals of up to about 3,900 bits over 3,900 bits.  The dual socle line
-#: of a QQ correspondence needs 20 primes at n = 11 and 84 at n = 17.
-MODULAR_PRIMES = 128
 
 
 class Matrix:
@@ -133,20 +126,16 @@ class Matrix:
 # -- elimination core ----------------------------------------------------
 
 
-def _rref_inplace(rows: list[list], field: Field) -> tuple[list[int], object]:
-    """Reduce ``rows`` to reduced row echelon form in place.
+def _rref_inplace(rows: list[list], field: Field) -> list[int]:
+    """Reduce the F_p ``rows`` to reduced row echelon form in place; return the pivot columns.
 
-    Returns the pivot columns and the determinant factor: the product of
-    the raw pivots, negated once per row swap.  For a square matrix of
-    full rank that factor is the determinant.  The field packs each row
-    while it is reduced and unpacks it at the end; the list items are
-    replaced, and no row list is changed.
+    The field packs each row while it is reduced and unpacks it at the
+    end; the list items are replaced, and no row list is changed.
     """
     pivots: list[int] = []
-    factor = field.one
     m = len(rows)
     if m == 0:
-        return pivots, factor
+        return pivots
     ncols = len(rows[0])
     w = field.pack_width(min(m, ncols))
     for i in range(m):
@@ -162,8 +151,6 @@ def _rref_inplace(rows: list[list], field: Field) -> tuple[list[int], object]:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-            factor = field.neg(factor)
-        factor = field.mul(factor, piv)
         rows[r] = prow = field.pack(field.unpack(rows[r], ncols, w, field.inv(piv)), w)
         for i in range(m):
             if i != r:
@@ -177,11 +164,11 @@ def _rref_inplace(rows: list[list], field: Field) -> tuple[list[int], object]:
     for i in range(m):
         # every row below the last pivot row is zero
         rows[i] = field.unpack(rows[i], ncols, w) if i < r else [field.zero] * ncols
-    return pivots, factor
+    return pivots
 
 
-def _multimodular_rref(rows: list[list], ncols: int) -> tuple[list[int], list[list]] | None:
-    """Pivots and nonzero rows of the reduced echelon form R of the QQ ``rows``, or ``None``.
+def _multimodular_rref(rows: list[list], ncols: int) -> tuple[list[int], list[list]]:
+    """Pivots P and nonzero rows of the reduced echelon form R of the QQ ``rows``.
 
     The integer rows A (``integer_rows``) are reduced modulo the primes of
     ``modular_field``.  Rank mod q is at most the rank over QQ, and a
@@ -195,15 +182,28 @@ def _multimodular_rref(rows: list[list], ncols: int) -> tuple[list[int], list[li
     of A inside the row space of R, so rank A <= |P|, and the prime gives
     rank A >= |P|: R is the reduced echelon form of A.  At full column
     rank there is no free column, R is the identity and the first prime
-    proves it.  ``None`` means that no prime among ``MODULAR_PRIMES``
-    gave an R that passes.
+    proves it.
+
+    The prime count is bounded (Cabay).  A minor is at most the product
+    of its rows' Euclidean norms (Hadamard), and a row of entries below
+    2**b has norm below 2**(b + ceil(bits(ncols) / 2)), so the sum h of
+    those exponents over the min(rows, ncols) largest rows bounds every
+    minor by H = 2**h.  The entries of R are ratios of minors, so good
+    primes above 2**60 reconstruct them once their product exceeds
+    2 H**2, after (2h + 1) // 60 + 1 of them.  A bad prime divides every
+    nonzero minor on the pivot columns, so at most h // 60 primes are bad.
+    ``InternalError`` means that no prime within the sum gave an R that
+    passes, which those two facts rule out.
     """
     ints = integer_rows(rows)
+    half = (ncols.bit_length() + 1) // 2
+    sizes = [max(map(abs, row), default=0).bit_length() + half for row in ints]
+    h = sum(sorted(sizes, reverse=True)[:ncols])
     best = None
-    for i in range(MODULAR_PRIMES):
+    for i in range((2 * h + 1) // 60 + 1 + h // 60):
         fq = modular_field(i)
         red = list(ints)
-        pivots, _ = _rref_inplace(red, fq)
+        pivots = _rref_inplace(red, fq)
         r = len(pivots)
         if best is None or r > len(best) or r == len(best) and pivots < best:
             # the first prime, or a better one: the primes kept so far were bad
@@ -227,7 +227,7 @@ def _multimodular_rref(rows: list[list], ncols: int) -> tuple[list[int], list[li
                     row[c] = col[k]
                 out.append(row)
             return best, out
-    return None
+    raise InternalError(f"no verified echelon form within the Hadamard bound of {h} bits")
 
 
 def _solves(ints: list[list[int]], pivots: list[int], free: list[int], cols: list[list]) -> bool:
@@ -244,14 +244,13 @@ def _solves(ints: list[list[int]], pivots: list[int], free: list[int], cols: lis
 def _echelon(rows: list[list], field: Field, ncols: int) -> tuple[list[int], list[list]]:
     """Pivot columns and nonzero rows of the reduced row echelon form of ``rows``.
 
-    Over QQ the multimodular form answers, and Fraction elimination only
-    when it gives none.  The row list is not changed.
+    Over QQ the multimodular form answers, over F_p the kernel.  The row
+    list is not changed.
     """
-    found = _multimodular_rref(rows, ncols) if field.is_rational else None
-    if found is not None:
-        return found
+    if field.is_rational:
+        return _multimodular_rref(rows, ncols)
     rows = list(rows)
-    pivots, _ = _rref_inplace(rows, field)
+    pivots = _rref_inplace(rows, field)
     return pivots, rows[: len(pivots)]
 
 
@@ -305,14 +304,6 @@ def solve(mat: Matrix, rhs: Sequence) -> list | None:
     for row, pc in zip(rows, pivots):
         x[pc] = row[ncols]
     return x
-
-
-def det(mat: Matrix):
-    """Determinant: the elimination's determinant factor, or zero when singular."""
-    if mat.nrows != mat.ncols:
-        raise UsageError("determinant of a non-square matrix")
-    pivots, factor = _rref_inplace(list(mat.rows), mat.field)
-    return factor if len(pivots) == mat.nrows else mat.field.zero
 
 
 def inverse(mat: Matrix) -> Matrix:

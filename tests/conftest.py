@@ -1,4 +1,9 @@
-"""Shared fixtures: base fields and a pencil whose rank-drop locus is empty."""
+"""Shared fixtures and oracles.
+
+Base fields, a pencil whose rank-drop locus is empty, and the list
+Gauss-Jordan elimination with its determinant factor, which the tests
+use as the oracle for echelon forms and determinants.
+"""
 
 import pytest
 
@@ -49,3 +54,53 @@ def norm_form_pencil():
 @pytest.fixture
 def pointless_pencil():
     return norm_form_pencil()
+
+
+# -- the list elimination oracle ------------------------------------------------
+
+
+def rref_oracle(rows, field):
+    """The list elimination the packed kernel replaced: one reduced row update per row.
+
+    Works over QQ and F_p.  Returns the pivot columns and the determinant
+    factor: the product of the raw pivots, negated once per row swap.
+    """
+    pivots = []
+    factor = field.one
+    m = len(rows)
+    if m == 0:
+        return pivots, factor
+    mul = field.mul
+    r = 0
+    for c in range(len(rows[0])):
+        pr = None
+        for i in range(r, m):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            factor = field.neg(factor)
+        piv = rows[r][c]
+        factor = mul(factor, piv)
+        inv = field.inv(piv)
+        if inv != 1:
+            rows[r] = [mul(x, inv) for x in rows[r]]
+        prow = rows[r]
+        for i in range(m):
+            fac = rows[i][c]
+            if i != r and fac:
+                rows[i] = field.axpy(-fac, rows[i], prow)
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots, factor
+
+
+def det(mat):
+    """The determinant of a square ``Matrix``: the oracle's factor, or zero when singular."""
+    pivots, factor = rref_oracle([list(r) for r in mat.rows], mat.field)
+    return factor if len(pivots) == mat.nrows else mat.field.zero

@@ -19,7 +19,6 @@ from skewlab import (
     bott,
     chi_of,
     closed_form_tables,
-    det,
     dim_gr,
     dim_homog,
     dimension_ledger,
@@ -47,6 +46,8 @@ from skewlab.randomness import (
     random_scalar_skew,
     random_skew_linear,
 )
+
+from conftest import det
 
 FP = GF(32003)
 

@@ -1,5 +1,6 @@
 """Rank-drop loci: numerology, incidence, parametrization, projection, scrolls."""
 
+import itertools
 import math
 
 import pytest
@@ -8,13 +9,16 @@ from skewlab import (
     GF,
     QQ,
     DegenerateG,
+    Matrix,
     NoPointsFound,
     RangeError,
     SplitMix64,
     d_vars,
     dim_homog,
+    evaluate_matrix,
     even_scroll_sample,
     incidence_check,
+    kernel_basis,
     locus_profile,
     matrix_to_form,
     mirror,
@@ -33,7 +37,7 @@ from skewlab.randomness import (
     random_skew_linear,
 )
 
-from conftest import norm_form_pencil
+from conftest import det, norm_form_pencil
 
 
 def seeded_pencil(n, field, seed, m=3):
@@ -99,6 +103,28 @@ def test_random_points_miss_the_locus():
     for _ in range(10):
         res = incidence_check(flipped, random_point(7, field, rng))
         assert res.rank == 3 and not res.ok
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=repr)
+def test_incidence_with_four_columns_tests_each_minor_by_rank(field):
+    # the flip of an odd skew pencil in four variables is a tall 7 x 4
+    # pencil; a kernel vector x of the skew matrix at a point c gives
+    # M(x) c = 0, a point where the rank drops
+    pm = seeded_pencil(7, field, 33, m=4)
+    flipped = tensor_flip(pm)
+    assert (flipped.nrows, flipped.ncols) == (7, 4)
+    rng = SplitMix64(501)
+    x = kernel_basis(evaluate_matrix(pm, random_point(4, field, rng))).column(0)
+    res = incidence_check(flipped, x)
+    assert res.ok and res.rank <= 3 and res.minors_zero
+    assert res.n_minors == math.comb(7, 4)
+    a = evaluate_matrix(flipped, x)
+    for rows_sel in itertools.combinations(a.rows, 4):
+        assert det(Matrix(field, rows_sel)) == field.zero
+    # at random points the rank is full and some minor is not zero
+    for _ in range(3):
+        res = incidence_check(flipped, random_point(7, field, rng))
+        assert res.rank == 4 and not res.ok and not res.minors_zero
 
 
 def test_parametrization_is_deterministic():

@@ -21,13 +21,13 @@ from skewlab import (
     GF,
     QQ,
     FormatError,
+    InternalError,
     Matrix,
     RangeError,
     SingularMatrix,
     SplitMix64,
     UsageError,
     column_space_canonical,
-    det,
     inverse,
     is_prime,
     kernel_basis,
@@ -38,6 +38,8 @@ from skewlab import (
 from skewlab import apolarity, cli, cohomology, correspond, degeneracy, fields, linalg, rings
 from skewlab.fields import Field
 from skewlab.randomness import random_invertible
+
+from conftest import det, rref_oracle
 
 
 def random_matrix(field, nrows, ncols, rng):
@@ -231,10 +233,11 @@ def test_solve_particular_and_inconsistent():
     assert solve(bad, [0, 1]) is None
 
 
-# -- det / inverse -----------------------------------------------------------
+# -- the determinant oracle / inverse --------------------------------------------
 
 
 def test_det_matches_sympy():
+    # ``det`` is the test oracle of conftest, the determinant factor of ``rref_oracle``
     rng = SplitMix64(4242)
     for field in (QQ, GF(13)):
         for n in (1, 2, 3, 5, 7):
@@ -257,6 +260,7 @@ def test_det_matches_sympy():
 
 
 def test_det_multiplicative():
+    # the oracle's determinant checks ``Matrix.mul``
     rng = SplitMix64(8)
     for field in (QQ, GF(32003)):
         a = random_matrix(field, 4, 4, rng)
@@ -300,46 +304,13 @@ def test_rank_equals_transpose_rank(rows):
 def test_det_transpose_invariant(rows):
     a = Matrix(QQ, [[Fraction(v) for v in row] for row in rows])
     assert det(a) == det(a.transpose())
+    # the package tells a zero determinant by rank, over QQ and F_p
+    for field in (QQ, GF(13)):
+        b = Matrix(field, [[field.from_int(v) for v in row] for row in rows])
+        assert (rank(b) < 3) == (det(b) == field.zero)
 
 
 # -- the packed elimination kernel --------------------------------------------
-
-
-def rref_oracle(rows, field):
-    """The list elimination the packed kernel replaced: one reduced row update per row."""
-    pivots = []
-    factor = field.one
-    m = len(rows)
-    if m == 0:
-        return pivots, factor
-    mul = field.mul
-    r = 0
-    for c in range(len(rows[0])):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            factor = field.neg(factor)
-        piv = rows[r][c]
-        factor = mul(factor, piv)
-        inv = field.inv(piv)
-        if inv != 1:
-            rows[r] = [mul(x, inv) for x in rows[r]]
-        prow = rows[r]
-        for i in range(m):
-            fac = rows[i][c]
-            if i != r and fac:
-                rows[i] = field.axpy(-fac, rows[i], prow)
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return pivots, factor
 
 
 KERNEL_PRIMES = (2, 3, 5, 7, 101, 32003, 2**61 - 1)
@@ -348,17 +319,16 @@ KERNEL_PRIMES = (2, 3, 5, 7, 101, 32003, 2**61 - 1)
 def assert_kernel_matches_oracle(field, rows):
     got_rows, want_rows = [r[:] for r in rows], [r[:] for r in rows]
     got = linalg._rref_inplace(got_rows, field)
-    want = rref_oracle(want_rows, field)
+    want, _ = rref_oracle(want_rows, field)
     assert got == want
     assert got_rows == want_rows
 
 
 @st.composite
 def kernel_inputs(draw):
-    """A field and a matrix: empty, zero, rank-deficient, tall or wide."""
-    p = draw(st.sampled_from(KERNEL_PRIMES + (None,)))
-    field = QQ if p is None else GF(p)
-    top = 9 if p is None else p - 1
+    """A prime field and a matrix: empty, zero, rank-deficient, tall or wide."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    field, top = GF(p), p - 1
     nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 9))
     entry = st.one_of(st.sampled_from([0, 1, top]), st.integers(0, top))
     rows = [[field.from_int(draw(entry)) for _ in range(ncols)] for _ in range(nrows)]
@@ -417,7 +387,7 @@ def test_packed_fields_never_carry(monkeypatch, p):
                 assert len(pivots) == min(nrows, ncols)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003), GF(2**61 - 1)], ids=repr)
+@pytest.mark.parametrize("field", [GF(2), GF(32003), GF(2**61 - 1)], ids=repr)
 def test_pack_unpack_round_trip(field):
     rng = SplitMix64(17)
     for ncols in (0, 1, 7, 40):
@@ -460,11 +430,44 @@ def record_eliminations(monkeypatch):
 
     def recorded(rows, field):
         out = real(rows, field)
-        calls.append((field, out[0]))
+        calls.append((field, out))
         return out
 
     monkeypatch.setattr(linalg, "_rref_inplace", recorded)
     return calls
+
+
+def prime_bound(rows, ncols):
+    """The primes an echelon form of the QQ ``rows`` may try, from the Hadamard bound.
+
+    Every minor of the integer rows is at most 2**h, with h the sum over
+    the min(rows, ``ncols``) largest rows of bits(max |a|) plus
+    ceil(bits(ncols) / 2); (2h + 1) // 60 + 1 good primes above 2**60
+    reconstruct R, and at most h // 60 such primes are bad.
+    """
+    half = -(-ncols.bit_length() // 2)
+    ints = fields.integer_rows(rows)
+    sizes = sorted(max([abs(a) for a in row] + [0]).bit_length() + half for row in ints)
+    h = sum(sizes[::-1][: min(len(ints), ncols)])
+    return (2 * h + 1) // 60 + 1 + h // 60
+
+
+def record_prime_counts(monkeypatch, calls):
+    """(bound, eliminations) of every multimodular echelon form from here on.
+
+    ``calls`` is the list of ``record_eliminations``.
+    """
+    counts = []
+    real = linalg._multimodular_rref
+
+    def recorded(rows, ncols):
+        before = len(calls)
+        out = real(rows, ncols)
+        counts.append((prime_bound(rows, ncols), len(calls) - before))
+        return out
+
+    monkeypatch.setattr(linalg, "_multimodular_rref", recorded)
+    return counts
 
 
 BIG = st.tuples(st.integers(1 << 100, 1 << 130), st.sampled_from([1, -1])).map(
@@ -528,12 +531,14 @@ def test_qq_echelon_forms_match_the_fraction_oracle(mat):
     _, col_rows = oracle_echelon(mat.columns())
     with pytest.MonkeyPatch.context() as mp:
         calls = record_eliminations(mp)
+        counts = record_prime_counts(mp, calls)
         assert rank(mat) == len(pivots)
         assert column_space_canonical(mat) == Matrix.from_columns(QQ, col_rows, mat.nrows)
         assert kernel_basis(mat) == oracle_kernel(mat)
         assert rref(mat) == (Matrix(QQ, rows + [[0] * mat.ncols] * (mat.nrows - len(rows))), pivots)
-    # the primes answer every call, and no Fraction elimination runs
+    # the primes answer every call within the bound, and no Fraction elimination runs
     assert calls and all(field != QQ for field, _ in calls)
+    assert len(counts) == 4 and all(0 < used <= bound for bound, used in counts)
 
 
 def line_ending_in(last):
@@ -637,7 +642,6 @@ def test_a_full_rank_qq_rank_takes_one_prime(monkeypatch):
 
 def test_the_integer_check_rejects_a_wrong_reconstruction(monkeypatch):
     mat, _ = line_ending_in(7)
-    want = oracle_kernel(mat)
     real = linalg.rational_vector
 
     def off_by_one(residues, m):
@@ -648,10 +652,12 @@ def test_the_integer_check_rejects_a_wrong_reconstruction(monkeypatch):
 
     monkeypatch.setattr(linalg, "rational_vector", off_by_one)
     calls = record_eliminations(monkeypatch)
-    assert kernel_basis(mat) == want
-    # every prime's echelon form fails the check, and Fractions decide
-    primes = [fields.modular_field(i) for i in range(linalg.MODULAR_PRIMES)]
-    assert [f for f, _ in calls] == primes + [QQ]
+    with pytest.raises(InternalError):
+        kernel_basis(mat)
+    # every prime within the bound gives an echelon form that fails the
+    # check, and nothing else runs
+    primes = [fields.modular_field(i) for i in range(prime_bound(mat.rows, mat.ncols))]
+    assert [f for f, _ in calls] == primes
 
 
 def test_a_qq_correspondence_runs_no_fraction_elimination(monkeypatch, capsys):

@@ -22,7 +22,6 @@ from skewlab import (
     SplitMix64,
     UsageError,
     congruence,
-    det,
     evaluate_matrix,
     is_skew_matrix,
     mat_vec_poly,
@@ -43,6 +42,8 @@ from skewlab.randomness import (
     random_scalar_skew,
     random_skew_linear,
 )
+
+from conftest import det
 
 
 def perm_sign(seq):
