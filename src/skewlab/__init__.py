@@ -23,7 +23,6 @@ from .errors import (
     OddDegree,
     OddOrder,
     RangeError,
-    SingularMatrix,
     SkewlabError,
     SkewNormalizationFailure,
     SyzygyDefect,
@@ -33,10 +32,8 @@ from .fields import GF, QQ, Field, is_prime
 from .linalg import (
     Matrix,
     column_space_canonical,
-    inverse,
     kernel_basis,
     rank,
-    rref,
     solve,
 )
 from .rings import (
@@ -57,10 +54,8 @@ from .rings import (
     y_vars,
 )
 from .apolarity import (
-    apolar_pairing,
     apolar_rank,
     catalecticant_rank,
-    differentiate,
     dual_socle_generator,
     hilbert_function,
     is_nondegenerate,
@@ -75,27 +70,21 @@ from .randomness import (
     random_form,
     random_nondegenerate_dual_form,
     random_point,
-    random_scalar_skew,
     random_skew_linear,
 )
 from .skew import (
     PolyMatrix,
-    congruence,
     evaluate_matrix,
     is_skew_matrix,
-    mat_vec_poly,
     pfaffian_poly,
-    pfaffian_scalar,
     poly_matrix_from_json,
     poly_matrix_to_json,
     skew_linear,
     sub_pfaffians,
     tensor_flip,
-    tensor_unflip,
 )
 from .correspond import (
     Certificate,
-    congruence_transport,
     form_to_matrix,
     matrix_to_form,
 )
@@ -118,7 +107,6 @@ from .cohomology import (
     H0FResult,
     agreement,
     bott,
-    chi_of,
     closed_form_tables,
     codim_rho,
     dim_gr,

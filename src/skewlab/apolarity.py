@@ -8,8 +8,8 @@ with multi-index factorials and binomials; the scaling equals the true
 partial-derivative coefficient prod_i b_i!/(b_i - a_i)!.  Every action
 here is filled from one walk, ``_contractions``, over the pairs of an
 operator monomial a and a result monomial g, with b = a + g:
-``differentiate``, ``pairing_matrix`` (and through it ``perp_slice``,
-``partials_slice`` and the Hilbert function) and each generator block of
+``pairing_matrix`` (and through it ``perp_slice``, ``partials_slice``
+and the Hilbert function) and each generator block of
 ``dual_socle_generator``.  The exact integer scaling is reduced by the
 field; over F_p it can vanish, so workflows that rely on invertible
 factorials must check ``field.char_exceeds(degree)`` first.
@@ -22,7 +22,6 @@ from typing import Sequence
 from .errors import AlphabetMismatch, NotGorensteinSocle, OddDegree, UsageError
 from .linalg import Matrix, kernel_basis, rank
 from .rings import (
-    Alphabet,
     GradedSlice,
     HomogPoly,
     dim_homog,
@@ -62,30 +61,6 @@ def _contractions(nvars: int, op_degree: int, out_deg: int):
         for i, g in enumerate(gammas):
             b = tuple(x + y for x, y in zip(a, g))
             yield j, i, b_idx[b], _action_scale(b, a)
-
-
-def differentiate(op: HomogPoly, target: HomogPoly) -> HomogPoly:
-    """Apply ``op`` (in the dual alphabet of ``target``) to ``target``.
-
-    Returns a polynomial of degree ``target.degree - op.degree`` in the
-    target's alphabet; when the operator degree exceeds the target degree
-    the result is the zero constant.
-    """
-    if op.alphabet != target.alphabet.dual():
-        raise AlphabetMismatch("operator must live in the dual alphabet")
-    if op.field != target.field:
-        raise UsageError("field mismatch")
-    field = op.field
-    if op.degree > target.degree:
-        return HomogPoly.zero(target.alphabet, 0, field)
-    out_deg = target.degree - op.degree
-    nvars = target.alphabet.nvars
-    out = [field.zero] * dim_homog(nvars, out_deg)
-    oc, tc = op.coeffs, target.coeffs
-    for j, i, l, scale in _contractions(nvars, op.degree, out_deg):
-        if oc[j] and tc[l]:
-            out[i] = field.add(out[i], field.mul(oc[j] * tc[l], scale))
-    return HomogPoly(target.alphabet, out_deg, field, out)
 
 
 def mirror(poly: HomogPoly) -> HomogPoly:
@@ -201,11 +176,3 @@ def dual_socle_generator(gens: Sequence[HomogPoly], k: int) -> HomogPoly:
         )
     poly = HomogPoly(alphabet.dual(), k, field, ker.column(0))
     return poly.leading_normalized()
-
-
-def apolar_pairing(op: HomogPoly, target: HomogPoly):
-    """Full contraction of equal-degree dual forms (a field scalar)."""
-    if op.degree != target.degree:
-        raise UsageError("pairing needs equal degrees")
-    result = differentiate(op, target)
-    return result.coeffs[0]

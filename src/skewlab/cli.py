@@ -24,7 +24,7 @@ from .cohomology import (
     grid_rows,
     sheaf_chase,
 )
-from .correspond import form_to_matrix, matrix_to_form
+from .correspond import _require_char, _require_odd_n, form_to_matrix, matrix_to_form
 from .degeneracy import (
     even_scroll_sample,
     incidence_check,
@@ -173,6 +173,9 @@ def cmd_correspond(args) -> dict:
     else:
         if args.n is None:
             raise UsageError("need --n to generate an instance")
+        # checked before the draw, which fails as a genericity error over too small a field
+        _require_odd_n(args.n)
+        _require_char(field, args.n - 3)
         rng = SplitMix64(args.seed)
         form = random_nondegenerate_dual_form(args.n - 3, field, rng)
     pm, cert = form_to_matrix(form)
@@ -191,6 +194,9 @@ def cmd_project(args) -> dict:
     else:
         if args.n is None:
             raise UsageError("need --n to generate an instance")
+        # checked before the draw, which fails as a genericity error over too small a field
+        _require_odd_n(args.n)
+        _require_char(field, args.n - 3)
         rng = SplitMix64(args.seed)
         g = mirror(random_nondegenerate_dual_form(args.n - 3, field, rng))
     datum = veronese_projection(g)
@@ -255,7 +261,7 @@ def cmd_sample(args) -> dict:
             }
         )
         return payload
-    sample = even_scroll_sample(pm, count=count)
+    sample = even_scroll_sample(pm, count)
     payload.update({"mode": "even-scroll", "sample": sample.to_json(), "all_ok": True})
     return payload
 

@@ -73,11 +73,6 @@ def bott(big_n: int, p: int, k: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def chi_of(vec: Sequence[int]) -> int:
-    """Alternating sum of a cohomology vector."""
-    return sum(v if q % 2 == 0 else -v for q, v in enumerate(vec))
-
-
 def kunneth(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Cohomology of an external tensor product of sheaves."""
     out = [0] * (len(a) + len(b) - 1)
@@ -174,10 +169,6 @@ class AffineForm:
     @classmethod
     def var(cls, name: str) -> "AffineForm":
         return cls(0, {name: 1})
-
-    @property
-    def is_const(self) -> bool:
-        return not self.coeffs
 
     def __add__(self, other) -> "AffineForm":
         other = AffineForm.of(other)
@@ -335,7 +326,7 @@ class ChaseResult:
         return {**asdict(self), "exact": self.exact, "vector": self.vector}
 
 
-def koszul_chase(terms: Sequence[Sequence[int]], name: str = "") -> ChaseResult:
+def koszul_chase(terms: Sequence[Sequence[int]], name: str) -> ChaseResult:
     """Chase an exact complex's target cohomology from its term vectors."""
     ctx = ChaseContext()
     trace: list[str] = []

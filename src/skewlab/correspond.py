@@ -22,9 +22,9 @@ from .errors import (
     SyzygyDefect,
 )
 from .fields import Field
-from .linalg import Matrix, inverse, kernel_basis
+from .linalg import Matrix, kernel_basis
 from .rings import GradedSlice, HomogPoly, dim_homog, mono_index, slice_of_products, slices_equal
-from .skew import PolyMatrix, congruence, skew_linear, sub_pfaffians
+from .skew import PolyMatrix, skew_linear, sub_pfaffians
 
 
 @dataclass
@@ -74,18 +74,15 @@ def _build_certificate(
     span: GradedSlice,
     n: int,
     direction: str,
-    ann: GradedSlice | None = None,
+    ann: GradedSlice,
 ) -> Certificate:
     """Check the correspondence identities of ``form`` and ``span``.
 
-    ``ann`` is the degree (n-1)/2 annihilator of ``form``, when the
-    caller has computed it already.
+    ``ann`` is the degree (n-1)/2 annihilator of ``form``.
     """
     k = n - 3
     gen_deg = (n - 1) // 2
     h = hilbert_function(form)
-    if ann is None:
-        ann = perp_slice(form, gen_deg)
     checks = {
         "annihilator_dim": ann.dim == n,
         "generators_match_annihilator": slices_equal(ann, span),
@@ -133,7 +130,8 @@ def matrix_to_form(pencil: PolyMatrix) -> tuple[HomogPoly, Certificate]:
             f"sub-Pfaffians span dimension {span.dim}, expected {n}"
         )
     form = dual_socle_generator(pfs, n - 3)
-    cert = _build_certificate(form, span, n, "matrix-to-form")
+    ann = perp_slice(form, (n - 1) // 2)
+    cert = _build_certificate(form, span, n, "matrix-to-form", ann)
     if not cert.ok:
         raise DegenerateInput(
             "pencil fails correspondence checks: " + ", ".join(cert.failed())
@@ -244,16 +242,3 @@ def form_to_matrix(form: HomogPoly) -> tuple[PolyMatrix, Certificate]:
             "form fails correspondence checks: " + ", ".join(cert.failed())
         )
     return pencil, cert
-
-
-def congruence_transport(pencil: PolyMatrix, a_mat: Matrix) -> PolyMatrix:
-    """Transport a skew pencil along the basis change with matrix A.
-
-    Returns (A^{-1})^T N A^{-1}; raises ``SingularMatrix`` when A is not
-    invertible.  The Pfaffian rescales by det(A)^{-1} and the dual form
-    is unchanged up to that scale.
-    """
-    pm = skew_linear(pencil)
-    if a_mat.nrows != pm.nrows or a_mat.ncols != pm.nrows:
-        raise RangeError("basis change must be square of the pencil order")
-    return skew_linear(congruence(pm, inverse(a_mat)))

@@ -322,7 +322,7 @@ def _horner(coeffs, x, p):
 LINE_SAMPLES = 3
 
 
-def even_scroll_sample(pencil: PolyMatrix, count: int = 5) -> ScrollSample:
+def even_scroll_sample(pencil: PolyMatrix, count: int) -> ScrollSample:
     """Sample the rank-drop locus of an even skew pencil over a prime field.
 
     Scans the plane in a fixed chart order for points of the Pfaffian

@@ -53,10 +53,6 @@ class FormatError(UsageError):
     """Text or JSON input does not match the documented file formats."""
 
 
-class SingularMatrix(UsageError):
-    """A matrix expected to be invertible is singular."""
-
-
 class GenericityError(SkewlabError):
     """Degenerate or non-generic input; retry with different data."""
 

@@ -157,9 +157,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def axpy(self, c, x, y) -> list:
         """The vector ``x + c * y``, reduced."""
         if self.p is None:

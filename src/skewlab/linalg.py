@@ -2,9 +2,9 @@
 
 Every row operation over F_p happens in one kernel, ``_rref_inplace``:
 Gauss-Jordan elimination that takes the first nonzero entry in scan
-order as pivot and returns the pivot columns.  ``rref``, ``rank``,
-``kernel_basis``, ``solve``, ``inverse`` and ``column_space_canonical``
-are thin wrappers over one reduced echelon form, ``_echelon``.  Reduced
+order as pivot and returns the pivot columns.  ``rank``,
+``kernel_basis``, ``solve`` and ``column_space_canonical`` are thin
+wrappers over one reduced echelon form, ``_echelon``.  Reduced
 echelon forms are fully normalized and kernel bases put a unit at their
 own free coordinate, so every result is canonical.  Matrices are dense
 lists of lists.  Inside the kernel the field holds each row in its
@@ -28,7 +28,7 @@ import math
 from operator import mul
 from typing import Sequence
 
-from .errors import DegreeMismatch, InternalError, SingularMatrix, UsageError
+from .errors import DegreeMismatch, InternalError, UsageError
 from .fields import QQ, Field, crt, integer_rows, modular_field, rational_vector
 
 
@@ -92,12 +92,6 @@ class Matrix:
                     acc = f.axpy(a, acc, orow)
             out.append(acc)
         return Matrix(f, out, ocols)
-
-    def mul_vec(self, vec: Sequence) -> list:
-        if len(vec) != self.ncols:
-            raise DegreeMismatch("vector length mismatch")
-        f = self.field
-        return [f.from_int(sum(a * b for a, b in zip(row, vec))) for row in self.rows]
 
     # -- comparison and serialization ---------------------------------------
 
@@ -254,13 +248,6 @@ def _echelon(rows: list[list], field: Field, ncols: int) -> tuple[list[int], lis
     return pivots, rows[: len(pivots)]
 
 
-def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    pivots, rows = _echelon(mat.rows, mat.field, mat.ncols)
-    rows += [[mat.field.zero] * mat.ncols for _ in range(mat.nrows - len(rows))]
-    return Matrix(mat.field, rows, mat.ncols), pivots
-
-
 def rank(mat: Matrix) -> int:
     """The rank; over QQ a wide matrix is transposed, so that full rank has no free column."""
     if mat.field.is_rational and mat.nrows < mat.ncols:
@@ -304,19 +291,6 @@ def solve(mat: Matrix, rhs: Sequence) -> list | None:
     for row, pc in zip(rows, pivots):
         x[pc] = row[ncols]
     return x
-
-
-def inverse(mat: Matrix) -> Matrix:
-    """Inverse matrix; raises ``SingularMatrix`` when not invertible."""
-    if mat.nrows != mat.ncols:
-        raise UsageError("inverse of a non-square matrix")
-    field = mat.field
-    n = mat.nrows
-    ident = Matrix.identity(field, n)
-    pivots, rows = _echelon([r + e for r, e in zip(mat.rows, ident.rows)], field, 2 * n)
-    if pivots != list(range(n)):
-        raise SingularMatrix("matrix is singular")
-    return Matrix(field, [r[n:] for r in rows], n)
 
 
 def column_space_canonical(mat: Matrix) -> Matrix:

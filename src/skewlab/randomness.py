@@ -9,7 +9,6 @@ each sampler.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DegenerateForm, InternalError, UsageError
 from .fields import Field
@@ -96,31 +95,6 @@ def random_skew_linear(n: int, m: int, field: Field, rng: SplitMix64) -> PolyMat
                 a[i][j] = random_scalar(field, rng)
                 a[j][i] = field.neg(a[i][j])
     return PolyMatrix(Alphabet("Y", m), 1, field, layers)
-
-
-def random_scalar_skew(n: int, field: Field, rng: SplitMix64):
-    """Random skew scalar matrix (row-major upper triangle draws)."""
-    from .linalg import Matrix
-
-    rows = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = random_scalar(field, rng)
-            rows[i][j] = c
-            rows[j][i] = field.neg(c)
-    return Matrix(field, rows, n)
-
-
-def random_invertible(n: int, field: Field, rng: SplitMix64):
-    """Random invertible constant matrix (entry draws row-major)."""
-    from .linalg import Matrix, rank
-
-    for _ in range(128):
-        rows = [[random_scalar(field, rng) for _ in range(n)] for _ in range(n)]
-        mat = Matrix(field, rows, n)
-        if rank(mat) == n:
-            return mat
-    raise InternalError("failed to draw an invertible matrix")  # pragma: no cover
 
 
 #: Draws ``random_nondegenerate_dual_form`` makes before it gives up.

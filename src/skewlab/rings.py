@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatch, DegreeMismatch, FormatError, SkewlabError, UsageError
 from .fields import Field, check_size, json_int
-from .linalg import Matrix, column_space_canonical, solve
+from .linalg import Matrix, column_space_canonical
 
 _PREFIX = {"Y": "y", "D": "d", "X": "x"}
 
@@ -113,13 +113,6 @@ class HomogPoly:
     @classmethod
     def zero(cls, alphabet: Alphabet, degree: int, field: Field) -> "HomogPoly":
         return cls(alphabet, degree, field, [field.zero] * dim_homog(alphabet.nvars, degree))
-
-    @classmethod
-    def variable(cls, alphabet: Alphabet, i: int, field: Field) -> "HomogPoly":
-        if not 0 <= i < alphabet.nvars:
-            raise UsageError(f"no variable index {i}")
-        expo = tuple(1 if j == i else 0 for j in range(alphabet.nvars))
-        return cls.from_terms(alphabet, 1, field, [(field.one, expo)])
 
     @classmethod
     def from_terms(
@@ -411,24 +404,14 @@ class GradedSlice:
         self.matrix = matrix
 
     @classmethod
-    def from_polys(
-        cls,
-        polys: Sequence[HomogPoly],
-        alphabet: Alphabet | None = None,
-        degree: int | None = None,
-        field: Field | None = None,
-    ) -> "GradedSlice":
-        if polys:
-            alphabet = polys[0].alphabet
-            degree = polys[0].degree
-            field = polys[0].field
-            for q in polys[1:]:
-                polys[0]._check_compatible(q, same_degree=True)
-        if alphabet is None or degree is None or field is None:
-            raise UsageError("empty slice needs explicit alphabet, degree, field")
-        amb = dim_homog(alphabet.nvars, degree)
-        raw = Matrix.from_columns(field, [list(q.coeffs) for q in polys], amb)
-        return cls(alphabet, degree, field, column_space_canonical(raw))
+    def from_polys(cls, polys: Sequence[HomogPoly]) -> "GradedSlice":
+        """The span of a nonempty list of polynomials of one grading."""
+        first = polys[0]
+        for q in polys[1:]:
+            first._check_compatible(q, same_degree=True)
+        amb = dim_homog(first.alphabet.nvars, first.degree)
+        raw = Matrix.from_columns(first.field, [list(q.coeffs) for q in polys], amb)
+        return cls(first.alphabet, first.degree, first.field, column_space_canonical(raw))
 
     @classmethod
     def from_matrix(cls, alphabet: Alphabet, degree: int, field: Field, raw: Matrix) -> "GradedSlice":
@@ -448,20 +431,11 @@ class GradedSlice:
     def dim(self) -> int:
         return self.matrix.ncols
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix.nrows
-
     def basis_polys(self) -> list[HomogPoly]:
         return [
             HomogPoly(self.alphabet, self.degree, self.field, self.matrix.column(j))
             for j in range(self.matrix.ncols)
         ]
-
-    def contains(self, poly: HomogPoly) -> bool:
-        if poly.alphabet != self.alphabet or poly.degree != self.degree:
-            return False
-        return solve(self.matrix, list(poly.coeffs)) is not None
 
     def sum(self, other: "GradedSlice") -> "GradedSlice":
         if (self.alphabet, self.degree, self.field) != (other.alphabet, other.degree, other.field):
@@ -497,10 +471,11 @@ class GradedSlice:
             field = Field.from_json(obj["field"])
             alphabet = Alphabet(str(obj["alphabet"]), check_size(obj["nvars"], "nvars"))
             degree = check_size(obj["degree"], "degree")
-            polys = [parse_poly(t, alphabet, field, degree) for t in obj["basis"]]
+            cols = [list(parse_poly(t, alphabet, field, degree).coeffs) for t in obj["basis"]]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad slice JSON: {exc}") from exc
-        return GradedSlice.from_polys(polys, alphabet, degree, field)
+        raw = Matrix.from_columns(field, cols, dim_homog(alphabet.nvars, degree))
+        return GradedSlice.from_matrix(alphabet, degree, field, raw)
 
 
 def slices_equal(a: GradedSlice, b: GradedSlice) -> bool:

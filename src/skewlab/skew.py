@@ -2,7 +2,7 @@
 
 A square skew matrix N with entries linear in y0..y(m-1) and an n x m
 pencil M with entries linear in x0..x(n-1) are two slices of one tensor
-(a^k_{i,j}); ``tensor_flip`` and ``tensor_unflip`` convert between them.
+(a^k_{i,j}); ``tensor_flip`` turns the first into the second.
 Scalar Pfaffians come from skew elimination in O(n^3), fraction-free on
 integers; the same elimination, run on an odd matrix bordered by a row
 and a column of unknowns, gives all its sub-Pfaffians at once.
@@ -320,26 +320,6 @@ def pfaffian_poly(pm: PolyMatrix) -> HomogPoly:
     return pf
 
 
-def pfaffian_scalar(mat: Matrix):
-    """Pfaffian of an even-order skew scalar matrix (a field scalar)."""
-    if mat.nrows != mat.ncols:
-        raise UsageError("pfaffian of a non-square matrix")
-    if mat.nrows % 2:
-        raise OddOrder("pfaffian needs even order")
-    field = mat.field
-    for i in range(mat.nrows):
-        if mat.rows[i][i] != 0:
-            raise NotSkew("nonzero diagonal")
-        for j in range(i + 1, mat.ncols):
-            if mat.rows[i][j] != field.neg(mat.rows[j][i]):
-                raise NotSkew("matrix is not skew-symmetric")
-    # over QQ the denominators are cleared; an F_p scalar is an int, of denominator 1
-    scale = lcm(*(c.denominator for row in mat.rows for c in row))
-    ints = [[c.numerator * (scale // c.denominator) for c in row] for row in mat.rows]
-    (pf,) = _pfaffian(ints, field.p)
-    return field.div(field.from_int(pf), scale ** (mat.nrows // 2))
-
-
 def sub_pfaffians(pm: PolyMatrix) -> tuple[tuple[HomogPoly, ...], tuple[HomogPoly, ...]]:
     """Principal sub-Pfaffians of an odd-order skew matrix.
 
@@ -374,21 +354,7 @@ def tensor_flip(pm: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(Alphabet("X", n), 1, pm.field, layers)
 
 
-def tensor_unflip(pm: PolyMatrix) -> PolyMatrix:
-    """Inverse of ``tensor_flip``; validates skewness of the result."""
-    if pm.alphabet.key != "X":
-        raise AlphabetMismatch("pencil must live over the x alphabet")
-    if pm.degree != 1:
-        raise DegreeMismatch("pencil entries must be linear")
-    n = pm.nrows
-    if pm.alphabet.nvars != n:
-        raise DegreeMismatch("pencil needs as many x variables as rows")
-    m = pm.ncols
-    layers = [[[pm.layers[i][j][k] for j in range(n)] for i in range(n)] for k in range(m)]
-    return skew_linear(PolyMatrix(Alphabet("Y", m), 1, pm.field, layers))
-
-
-# -- evaluation and products ---------------------------------------------------
+# -- evaluation ----------------------------------------------------------------
 
 
 def evaluate_matrix(pm: PolyMatrix, point: Sequence) -> Matrix:
@@ -398,35 +364,6 @@ def evaluate_matrix(pm: PolyMatrix, point: Sequence) -> Matrix:
     f = pm.field
     a = _at_point(pm.layers, monomials(pm.alphabet.nvars, pm.degree), point)
     return Matrix(f, [[f.from_int(s) for s in row] for row in a], pm.ncols)
-
-
-def mat_vec_poly(pm: PolyMatrix, vec: Sequence[HomogPoly]) -> list[HomogPoly]:
-    """Product of a polynomial matrix with a polynomial vector."""
-    if len(vec) != pm.ncols:
-        raise DegreeMismatch("vector length mismatch")
-    out = []
-    tdeg = pm.degree + vec[0].degree
-    for row in pm.entries:
-        acc = HomogPoly.zero(pm.alphabet, tdeg, pm.field)
-        for a, b in zip(row, vec):
-            if not a.is_zero() and not b.is_zero():
-                acc = acc + a * b
-        out.append(acc)
-    return out
-
-
-def congruence(pm: PolyMatrix, p_mat: Matrix) -> PolyMatrix:
-    """Congruence P^T (pm) P for a constant square matrix P.
-
-    Writing pm = sum_k m_k A_k over the monomials m_k of its entry degree,
-    the result is sum_k m_k (P^T A_k P).
-    """
-    if p_mat.nrows != pm.nrows or p_mat.ncols != pm.nrows:
-        raise DegreeMismatch("congruence needs a square matrix of matching order")
-    f = pm.field
-    p_t = p_mat.transpose()
-    layers = [p_t.mul(Matrix(f, a)).mul(p_mat).rows for a in pm.layers]
-    return PolyMatrix(pm.alphabet, pm.degree, f, layers)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -1,13 +1,27 @@
-"""Shared fixtures and oracles.
+"""Shared fixtures, oracles and helpers.
 
-Base fields, a pencil whose rank-drop locus is empty, and the list
+Base fields, a pencil whose rank-drop locus is empty, the list
 Gauss-Jordan elimination with its determinant factor, which the tests
-use as the oracle for echelon forms and determinants.
+use as the oracle for echelon forms and determinants, and small helpers
+built on the package: scalar Pfaffians, products with matrices, random
+scalar matrices, slice membership and Euler characteristics.
 """
 
 import pytest
 
-from skewlab import GF, QQ, Alphabet, HomogPoly, skew_linear
+from skewlab import (
+    GF,
+    QQ,
+    Alphabet,
+    HomogPoly,
+    Matrix,
+    PolyMatrix,
+    pfaffian_poly,
+    rank,
+    skew_linear,
+    solve,
+)
+from skewlab.randomness import random_scalar
 
 
 @pytest.fixture
@@ -104,3 +118,80 @@ def det(mat):
     """The determinant of a square ``Matrix``: the oracle's factor, or zero when singular."""
     pivots, factor = rref_oracle([list(r) for r in mat.rows], mat.field)
     return factor if len(pivots) == mat.nrows else mat.field.zero
+
+
+# -- helpers built on the package ---------------------------------------------------
+
+
+def pfaffian_scalar(mat):
+    """The Pfaffian of a skew scalar ``Matrix``: ``pfaffian_poly`` of it as a degree-0 pencil."""
+    pm = PolyMatrix(Alphabet("Y", 1), 0, mat.field, [mat.rows])
+    return pfaffian_poly(pm).coeffs[0]
+
+
+def mul_vec(mat, vec):
+    """The product of a scalar ``Matrix`` with a vector of scalars."""
+    f = mat.field
+    return [f.from_int(sum(a * b for a, b in zip(row, vec))) for row in mat.rows]
+
+
+def mat_vec_poly(pm, vec):
+    """The product of a ``PolyMatrix`` with a vector of polynomials."""
+    tdeg = pm.degree + vec[0].degree
+    out = []
+    for row in pm.entries:
+        acc = HomogPoly.zero(pm.alphabet, tdeg, pm.field)
+        for a, b in zip(row, vec):
+            acc = acc + a * b
+        out.append(acc)
+    return out
+
+
+def tensor_unflip(pm):
+    """The skew matrix over y0..y(m-1) whose ``tensor_flip`` is the n x m pencil ``pm``."""
+    n, m = pm.nrows, pm.ncols
+    layers = [[[pm.layers[i][j][k] for j in range(n)] for i in range(n)] for k in range(m)]
+    return skew_linear(PolyMatrix(Alphabet("Y", m), 1, pm.field, layers))
+
+
+def congruence(pm, p_mat):
+    """P^T (pm) P for a constant square ``Matrix`` P, one coefficient layer at a time."""
+    p_t = p_mat.transpose()
+    layers = [p_t.mul(Matrix(pm.field, a)).mul(p_mat).rows for a in pm.layers]
+    return PolyMatrix(pm.alphabet, pm.degree, pm.field, layers)
+
+
+def random_scalar_skew(n, field, rng):
+    """Random skew scalar ``Matrix``; the upper triangle is drawn row-major."""
+    rows = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = random_scalar(field, rng)
+            rows[j][i] = field.neg(rows[i][j])
+    return Matrix(field, rows, n)
+
+
+def random_invertible(n, field, rng):
+    """Random invertible scalar ``Matrix``; entries are drawn row-major until the rank is full."""
+    while True:
+        mat = Matrix(field, [[random_scalar(field, rng) for _ in range(n)] for _ in range(n)], n)
+        if rank(mat) == n:
+            return mat
+
+
+def contains(slc, poly):
+    """True when ``poly`` lies in the graded slice ``slc``."""
+    if (poly.alphabet, poly.degree) != (slc.alphabet, slc.degree):
+        return False
+    return solve(slc.matrix, list(poly.coeffs)) is not None
+
+
+def variable(alphabet, i, field):
+    """The i-th variable of ``alphabet``, a linear form."""
+    expo = tuple(int(j == i) for j in range(alphabet.nvars))
+    return HomogPoly.from_terms(alphabet, 1, field, [(field.one, expo)])
+
+
+def chi_of(vec):
+    """The alternating sum of a cohomology vector."""
+    return sum(v if q % 2 == 0 else -v for q, v in enumerate(vec))

@@ -17,7 +17,6 @@ from skewlab import (
     SplitMix64,
     agreement,
     bott,
-    chi_of,
     closed_form_tables,
     dim_gr,
     dim_homog,
@@ -27,12 +26,10 @@ from skewlab import (
     form_to_matrix,
     grid_rows,
     incidence_check,
-    mat_vec_poly,
     matrix_to_form,
     mirror,
     parametrization_points,
     pfaffian_poly,
-    pfaffian_scalar,
     skew_linear,
     slices_equal,
     sub_pfaffians,
@@ -43,11 +40,10 @@ from skewlab import (
 from skewlab.randomness import (
     random_nondegenerate_dual_form,
     random_point,
-    random_scalar_skew,
     random_skew_linear,
 )
 
-from conftest import det
+from conftest import chi_of, det, mat_vec_poly, pfaffian_scalar, random_scalar_skew
 
 FP = GF(32003)
 
@@ -157,7 +153,7 @@ def test_criterion_5_even_scroll_sampling():
                     )
                     pf = pfaffian_poly(pm)
                     assert pf.degree == n // 2 and not pf.is_zero()
-                    sample = even_scroll_sample(pm, count=5)
+                    sample = even_scroll_sample(pm, 5)
                     assert sample.curve_degree == n // 2
                     flipped = tensor_flip(pm)
                     for pt in sample.points:

@@ -421,6 +421,24 @@ def test_correspond_and_project_refuse_other_m(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["correspond", "from-form", "--n", "5", "--p", "2", "--seed", "1"],
+        ["project", "--n", "5", "--p", "2", "--seed", "1"],
+        ["correspond", "from-form", "--n", "13", "--p", "5", "--seed", "1"],
+    ],
+    ids=lambda a: "-".join(a[:-2]),
+)
+def test_seeded_form_over_too_small_a_field_exits_two(tmp_path, capsys, argv):
+    # the characteristic is checked before a form of degree n - 3 is drawn,
+    # so a field too small for it is a usage error, not a failed draw
+    code, raw = run(tmp_path, *argv)
+    assert code == 2 and raw == b""
+    err = capsys.readouterr().err
+    assert "field characteristic must exceed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "target", ["dir", "missing/x.json", "file/x.json"], ids=["directory", "no-parent", "file-parent"]
 )
 def test_unwritable_output_exits_two(tmp_path, capsys, target):

@@ -17,7 +17,6 @@ from skewlab import (
     SplitMix64,
     SyzygyDefect,
     UsageError,
-    congruence_transport,
     d_vars,
     dim_homog,
     form_to_matrix,
@@ -30,13 +29,14 @@ from skewlab import (
 )
 from skewlab.randomness import (
     random_form,
-    random_invertible,
     random_nondegenerate_dual_form,
     random_skew_linear,
 )
 from skewlab.apolarity import catalecticant_rank, perp_slice
 from skewlab.correspond import _build_certificate, _skew_combinations
 from skewlab.skew import skew_linear
+
+from conftest import congruence, random_invertible, variable
 
 
 def seeded_pencil(n, field, seed):
@@ -75,7 +75,7 @@ def test_certificate_reuses_hilbert_function_and_can_fail():
     assert cert.ideal_slice == perp_slice(form, 4)
     # a span other than the annihilator fails its check
     wrong = GradedSlice.from_polys(cert.ideal_slice.basis_polys()[:-1])
-    bad = _build_certificate(form, wrong, 9, "matrix-to-form")
+    bad = _build_certificate(form, wrong, 9, "matrix-to-form", perp_slice(form, 4))
     assert bad.failed() == ["generators_match_annihilator"]
     # an annihilator handed in is used as is, and checked
     bad = _build_certificate(form, wrong, 9, "form-to-matrix", wrong)
@@ -86,7 +86,8 @@ def test_products_of_the_generators_must_fill_the_next_degree():
     # d0^4 + d1^4 has an annihilator generator in degree 4 = (n + 1) / 2,
     # y0^4 - y1^4, that no cubic in the annihilator times a linear form gives
     form = parse_poly("d0^4 + d1^4", d_vars(), GF(101))
-    cert = _build_certificate(form, perp_slice(form, 3), 7, "form-to-matrix")
+    ann = perp_slice(form, 3)
+    cert = _build_certificate(form, ann, 7, "form-to-matrix", ann)
     assert not cert.checks["perp_full_above_degree"]
     assert cert.checks["generators_match_annihilator"]
     # a generic form passes it
@@ -152,7 +153,7 @@ def test_matrix_to_form_guards():
 
 def test_matrix_to_form_rejects_degenerate_span():
     # every entry a multiple of y0: sub-Pfaffians span a line, not n dims
-    y0 = HomogPoly.variable(y_vars(), 0, QQ)
+    y0 = variable(y_vars(), 0, QQ)
     zero = HomogPoly.zero(y_vars(), 1, QQ)
     grid = [[zero] * 5 for _ in range(5)]
     scale = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23]
@@ -211,10 +212,11 @@ def test_qq_skew_failure_states_the_exact_dimension():
 
 
 def test_congruence_transport_preserves_the_form():
+    # P^T N P for an invertible P has the same dual form, up to the scale det(P)
     for field in (GF(32003), QQ):
         pm = seeded_pencil(7, field, 21)
         rng = SplitMix64(22)
-        moved = congruence_transport(pm, random_invertible(7, field, rng))
+        moved = skew_linear(congruence(pm, random_invertible(7, field, rng)))
         form_a, _ = matrix_to_form(pm)
         form_b, cert = matrix_to_form(moved)
         assert cert.ok

@@ -215,9 +215,9 @@ def test_even_scroll_is_deterministic():
 
 def test_even_scroll_guards():
     with pytest.raises(RangeError):
-        even_scroll_sample(seeded_pencil(5, GF(101), 1))
+        even_scroll_sample(seeded_pencil(5, GF(101), 1), 5)
     with pytest.raises(RangeError):
-        even_scroll_sample(seeded_pencil(6, QQ, 1))
+        even_scroll_sample(seeded_pencil(6, QQ, 1), 5)
 
 
 def test_pointless_curve_raises(pointless_pencil):

@@ -21,29 +21,30 @@ from skewlab import (
     PolyMatrix,
     SplitMix64,
     UsageError,
-    congruence,
     evaluate_matrix,
     is_skew_matrix,
-    mat_vec_poly,
     parse_poly,
     pfaffian_poly,
-    pfaffian_scalar,
     poly_matrix_from_json,
     poly_matrix_to_json,
     skew_linear,
     sub_pfaffians,
     tensor_flip,
-    tensor_unflip,
     x_vars,
     y_vars,
 )
-from skewlab.randomness import (
+from skewlab.randomness import random_skew_linear
+
+from conftest import (
+    congruence,
+    det,
+    mat_vec_poly,
+    pfaffian_scalar,
     random_invertible,
     random_scalar_skew,
-    random_skew_linear,
+    tensor_unflip,
+    variable,
 )
-
-from conftest import det
 
 
 def perm_sign(seq):
@@ -206,7 +207,6 @@ def test_pfaffian_scalar_clears_denominators():
         ],
     )
     assert pfaffian_scalar(mat) == pfaffian_by_matchings(mat.rows, Fraction(1))
-    assert pfaffian_scalar(Matrix(QQ, [], 0)) == 1
 
 
 def test_pfaffian_poly_matches_matching_sum():
@@ -356,8 +356,8 @@ def test_tensor_flip_worked_example():
     grid[1][0] = -y0
     m = tensor_flip(skew_linear(grid))
     assert (m.nrows, m.ncols) == (4, 3)
-    assert m.entries[0][0] == -HomogPoly.variable(x_vars(4), 1, QQ)
-    assert m.entries[1][0] == HomogPoly.variable(x_vars(4), 0, QQ)
+    assert m.entries[0][0] == -variable(x_vars(4), 1, QQ)
+    assert m.entries[1][0] == variable(x_vars(4), 0, QQ)
     assert m.entries[2][0].is_zero() and m.entries[3][0].is_zero()
     assert all(m.entries[i][k].is_zero() for i in range(4) for k in (1, 2))
 
@@ -433,13 +433,13 @@ def test_congruence_pfaffian_scaling():
 
 
 def test_from_entries_keeps_its_checks():
-    y0 = HomogPoly.variable(y_vars(), 0, QQ)
+    y0 = variable(y_vars(), 0, QQ)
     bad_grids = [
         ([], UsageError),
         ([[]], UsageError),
         ([[y0, y0], [y0]], UsageError),
-        ([[y0, HomogPoly.variable(x_vars(3), 0, QQ)]], AlphabetMismatch),
-        ([[y0, HomogPoly.variable(y_vars(), 0, GF(7))]], UsageError),
+        ([[y0, variable(x_vars(3), 0, QQ)]], AlphabetMismatch),
+        ([[y0, variable(y_vars(), 0, GF(7))]], UsageError),
         ([[y0, y0 * y0]], DegreeMismatch),
     ]
     for grid, cls in bad_grids:
