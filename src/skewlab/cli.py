@@ -112,6 +112,15 @@ def _seeded_skew(args, field: Field):
     return skew_linear(random_skew_linear(args.n, args.m, field, rng))
 
 
+def _seeded_dual_form(args, field: Field):
+    if args.n is None:
+        raise UsageError("need --n to generate an instance")
+    # checked before the draw, which fails as a genericity error over too small a field
+    _require_odd_n(args.n)
+    _require_char(field, args.n - 3)
+    return random_nondegenerate_dual_form(args.n - 3, field, SplitMix64(args.seed))
+
+
 def _input_or_seeded_skew(args, field: Field):
     if args.infile is not None:
         pm = poly_matrix_from_json(_load_json(args.infile))
@@ -171,13 +180,7 @@ def cmd_correspond(args) -> dict:
     if args.infile is not None:
         form = poly_from_json(_load_json(args.infile))
     else:
-        if args.n is None:
-            raise UsageError("need --n to generate an instance")
-        # checked before the draw, which fails as a genericity error over too small a field
-        _require_odd_n(args.n)
-        _require_char(field, args.n - 3)
-        rng = SplitMix64(args.seed)
-        form = random_nondegenerate_dual_form(args.n - 3, field, rng)
+        form = _seeded_dual_form(args, field)
     pm, cert = form_to_matrix(form)
     payload["form"] = poly_to_json(form)
     payload["matrix"] = poly_matrix_to_json(pm, "skew-linear")
@@ -192,13 +195,7 @@ def cmd_project(args) -> dict:
     if args.infile is not None:
         g = poly_from_json(_load_json(args.infile))
     else:
-        if args.n is None:
-            raise UsageError("need --n to generate an instance")
-        # checked before the draw, which fails as a genericity error over too small a field
-        _require_odd_n(args.n)
-        _require_char(field, args.n - 3)
-        rng = SplitMix64(args.seed)
-        g = mirror(random_nondegenerate_dual_form(args.n - 3, field, rng))
+        g = mirror(_seeded_dual_form(args, field))
     datum = veronese_projection(g)
     pencil, a_mat, cert = verify_in_image(datum)
     recovered, _cert2 = matrix_to_form(pencil)

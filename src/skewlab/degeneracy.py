@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .apolarity import mirror, partials_slice, perp_slice
-from .correspond import Certificate, form_to_matrix
+from .correspond import Certificate, _require_char, form_to_matrix
 from .errors import (
     DegenerateG,
     DegenerateInput,
@@ -213,8 +213,7 @@ def veronese_projection(g: HomogPoly) -> ProjectionDatum:
     n = k + 3
     if k < 2 or k % 2:
         raise RangeError(f"need even positive degree, got {k}")
-    if not g.field.char_exceeds(k):
-        raise RangeError(f"field characteristic must exceed {k}")
+    _require_char(g.field, k)
     if g.is_zero():
         raise DegenerateG("zero form")
 

@@ -9,9 +9,8 @@ and a column of unknowns, gives all its sub-Pfaffians at once.
 Polynomial Pfaffians and sub-Pfaffians are evaluated at the points of
 the principal lattice (y0 = 1, the other coordinates non-negative
 integers of sum at most the degree) and interpolated by Newton forward
-differences.  Over QQ the pencil's denominators are cleared first; over
-F_p with p at most the degree the entries are lifted to integers and the
-exact result is reduced mod p.
+differences, all on integers: the pencil is lifted to integers once and
+the exact result is reduced through its field.
 """
 
 from __future__ import annotations
@@ -121,8 +120,8 @@ def skew_linear(entries: Sequence[Sequence[HomogPoly]] | PolyMatrix) -> PolyMatr
 # -- pfaffian core --------------------------------------------------------
 
 
-def _pfaffian(a: list[list[int]], p: int | None) -> list[int]:
-    """Pfaffian coefficients of a skew matrix of ints, exact or mod ``p``.
+def _pfaffian(a: list[list[int]]) -> list[int]:
+    """Pfaffian coefficients of a skew matrix of ints.
 
     Even order: ``[pf(a)]``.  Odd order n: the ``s_i = (-1)^i pf(a without
     row and column i)`` with ``pf([[a, z], [-z^T, 0]]) = sum_i s_i z_i``;
@@ -138,11 +137,10 @@ def _pfaffian(a: list[list[int]], p: int | None) -> list[int]:
         E'[i][j] = (E[0][1] * E[i][j] + w_i u_j - u_i w_j) / prev.
 
     Every entry of every E is, up to sign, the Pfaffian of a principal
-    submatrix of the bordered input, so on integers the division is
-    exact and the loop is fraction-free; mod ``p`` it is a multiplication
-    by an inverse.  The result, signed by the swaps, is the last pivot or
-    the last row's extra columns; an all-zero square part gives 0.  The
-    rows of ``a`` are consumed.
+    submatrix of the bordered input, so the division is exact and the
+    loop is fraction-free.  The result, signed by the swaps, is the last
+    pivot or the last row's extra columns; an all-zero square part gives
+    0.  The rows of ``a`` are consumed.
     """
     n = len(a)
     if n % 2:
@@ -164,20 +162,12 @@ def _pfaffian(a: list[list[int]], p: int | None) -> list[int]:
         u = a[0]
         piv = u[1]
         u2, w2 = u[2:], a[1][2:]
-        if p is None:
-            a = [
-                [(piv * x + wi * uj - ui * wj) // prev for x, uj, wj in zip(row[2:], u2, w2)]
-                for row, ui, wi in zip(a[2:], u2, w2)
-            ]
-        else:
-            inv = pow(prev, -1, p)
-            a = [
-                [(piv * x + wi * uj - ui * wj) * inv % p for x, uj, wj in zip(row[2:], u2, w2)]
-                for row, ui, wi in zip(a[2:], u2, w2)
-            ]
+        a = [
+            [(piv * x + wi * uj - ui * wj) // prev for x, uj, wj in zip(row[2:], u2, w2)]
+            for row, ui, wi in zip(a[2:], u2, w2)
+        ]
         prev = piv
-    out = [sign * x for x in (a[0][1:] if a else [prev])]
-    return out if p is None else [x % p for x in out]
+    return [sign * x for x in (a[0][1:] if a else [prev])]
 
 
 def _lattice_lines(nvars: int, deg: int) -> list[list[list[int]]]:
@@ -219,7 +209,7 @@ def _binomial_to_monomial(deg: int) -> list[list[int]]:
     return rows
 
 
-def _interpolate(values: list[list[int]], nvars: int, deg: int, p: int | None) -> None:
+def _interpolate(values: list[list[int]], nvars: int, deg: int) -> None:
     """Lattice values to ``deg!^(nvars-1)`` times monomial coefficients, in place.
 
     ``values[i]`` holds the values of some forms of degree ``deg`` at the
@@ -245,7 +235,7 @@ def _interpolate(values: list[list[int]], nvars: int, deg: int, p: int | None) -
                     c = expand[i][k]
                     if c:
                         acc = [s + c * x for s, x in zip(acc, values[line[i]])]
-                values[line[k]] = acc if p is None else [s % p for s in acc]
+                values[line[k]] = acc
 
 
 def _at_point(layers: Sequence, monos: Sequence[tuple[int, ...]], point: Sequence) -> list[list]:
@@ -258,27 +248,25 @@ def _at_point(layers: Sequence, monos: Sequence[tuple[int, ...]], point: Sequenc
     return out
 
 
-def _lattice_forms(pm: PolyMatrix, half: int, at_point) -> list[HomogPoly]:
-    """Forms of degree ``half * pm.degree`` from their lattice values.
+def _lattice_forms(pm: PolyMatrix) -> list[HomogPoly]:
+    """Pfaffian coefficients of ``pm`` as forms, from their lattice values.
 
-    ``at_point(a, p)`` maps the integer matrix of ``pm`` at a lattice
-    point to the vector of values there, exact (``p`` None) or mod ``p``;
-    each value must be a Pfaffian of order ``2 * half``.  Mod a prime
-    ``p > deg`` the lattice and the Newton divisions live in F_p.  Over
-    QQ the pencil is scaled by its common denominator ``L`` so that every
-    value is an integer, and each output coefficient is divided once, by
-    ``deg!^(nvars-1) L^half``.  Mod a prime ``p <= deg`` the entries are
-    lifted to integers, the integer path runs, and the exact integer
-    coefficients are reduced mod ``p``: the Pfaffian is an integer
-    polynomial in the entries.  An F_p scalar is an int, whose
-    denominator is 1, so ``L`` is 1 there.
+    The forms are the output of ``_pfaffian`` on ``pm``, of degree
+    ``(pm.nrows // 2) * pm.degree``.  The pencil is scaled by the common
+    denominator ``L`` of its entries (1 over F_p, whose scalars are ints)
+    and lifted to integers, so every lattice value is an exact integer
+    Pfaffian.  The interpolated coefficients are exact integers times
+    ``deg!^(nvars-1)``; each is divided by that exactly, then reduced
+    into the field and divided there by ``L^half``.  This is right over
+    every field because a Pfaffian is an integer polynomial in the
+    entries.
     """
     field = pm.field
     nvars = pm.alphabet.nvars
+    half = pm.nrows // 2
     deg = pm.degree * half
     scale = lcm(*(c.denominator for a in pm.layers for row in a for c in row))
     lift = lambda c: c.numerator * (scale // c.denominator)
-    mod = field.p if field.p is not None and field.p > deg else None
     # each layer is lifted from its upper triangle, so that a lift from
     # F_p is skew over the integers
     n = pm.nrows
@@ -287,17 +275,14 @@ def _lattice_forms(pm: PolyMatrix, half: int, at_point) -> list[HomogPoly]:
         for a in pm.layers
     ]
     entry_monos = monomials(nvars, pm.degree)
-    values = []
-    for expo in monomials(nvars, deg):
-        a = _at_point(layers, entry_monos, (1,) + expo[1:])
-        values.append(at_point(a if mod is None else [[s % mod for s in row] for row in a], mod))
-    _interpolate(values, nvars, deg, mod)
+    values = [
+        _pfaffian(_at_point(layers, entry_monos, (1,) + expo[1:]))
+        for expo in monomials(nvars, deg)
+    ]
+    _interpolate(values, nvars, deg)
     denom = factorial(deg) ** (nvars - 1)
-    if mod is None:  # exact integer values, each a multiple of denom
-        values = [[v // denom for v in vec] for vec in values]
-        denom = 1
-    inv = field.inv(field.from_int(denom * scale**half))
-    coeff = lambda v: field.mul(field.from_int(v), inv)
+    inv = field.inv(field.from_int(scale**half))
+    coeff = lambda v: field.mul(field.from_int(v // denom), inv)
     return [
         HomogPoly(pm.alphabet, deg, field, [coeff(vec[c]) for vec in values])
         for c in range(len(values[0]))
@@ -316,7 +301,7 @@ def pfaffian_poly(pm: PolyMatrix) -> HomogPoly:
         raise OddOrder("pfaffian needs even order")
     if not is_skew_matrix(pm):
         raise NotSkew("pfaffian of a non-skew matrix")
-    (pf,) = _lattice_forms(pm, pm.nrows // 2, _pfaffian)
+    (pf,) = _lattice_forms(pm)
     return pf
 
 
@@ -334,7 +319,7 @@ def sub_pfaffians(pm: PolyMatrix) -> tuple[tuple[HomogPoly, ...], tuple[HomogPol
         raise EvenOrder("sub-Pfaffian vector needs odd order")
     if not is_skew_matrix(pm):
         raise NotSkew("sub-Pfaffians of a non-skew matrix")
-    signed = tuple(_lattice_forms(pm, pm.nrows // 2, _pfaffian))
+    signed = tuple(_lattice_forms(pm))
     pfs = tuple(q if i % 2 == 0 else -q for i, q in enumerate(signed))
     return pfs, signed
 

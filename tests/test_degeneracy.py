@@ -157,6 +157,9 @@ def test_veronese_projection_guards():
         veronese_projection(parse_poly("y0^3", y_vars(), QQ))
     with pytest.raises(DegenerateG):
         veronese_projection(parse_poly("0", y_vars(), QQ, degree=2))
+    # the same check and message as the correspondence's
+    with pytest.raises(RangeError, match="must exceed 6 for exact apolarity"):
+        veronese_projection(parse_poly("y0^6 + y1^6 + y2^6", y_vars(), GF(5)))
 
 
 def test_veronese_projection_rejects_degenerate_form():

@@ -32,7 +32,7 @@ from skewlab import (
     rank,
     solve,
 )
-from skewlab import apolarity, cli, cohomology, correspond, degeneracy, fields, linalg, rings
+from skewlab import apolarity, cli, cohomology, correspond, degeneracy, fields, linalg, rings, skew
 from skewlab.fields import Field
 
 from conftest import det, mul_vec, random_invertible, rref_oracle
@@ -113,7 +113,7 @@ def test_field_axpy_reduces():
 
 @pytest.mark.parametrize(
     "module",
-    [linalg, rings, apolarity, degeneracy, correspond, cohomology, cli],
+    [linalg, rings, apolarity, skew, degeneracy, correspond, cohomology, cli],
     ids=lambda m: m.__name__,
 )
 def test_only_field_tells_the_fields_apart(module):

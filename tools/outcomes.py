@@ -18,9 +18,15 @@ The manifest is fixed, and every case is a pure function of its inputs:
   0..399, 0..399 and 0..99 at n = 5, 7, 9 (4,500 forms).
 * ``qq-forms``: the same over QQ, seeds 0..59 at n = 5 and 0..14 at
   n = 7 (75 forms).
+* ``pfaffians``: ``pfaffian_poly`` (even n) or ``sub_pfaffians`` (odd n)
+  of ``random_skew_linear(n, m, field, SplitMix64(seed))`` for n = 1..15,
+  m = 1..3 and seeds 0..2 over QQ, F_2, F_3, F_5, F_7 and F_32003
+  (810 pencils); their degree n // 2 lies on both sides of the small
+  primes.
 
 A form records the sha256 of its pencil and certificate JSON, or the
-class and message of the genericity error it raises.  The cases run in
+class and message of the genericity error it raises; a pencil records
+the sha256 of its Pfaffians, written as polynomials.  The cases run in
 one process on the ``src/`` of ``--tree`` (default: the checkout this
 file is in); the tallies per exit code and per outcome class are printed
 at the end.  ``--compare`` exits 1 when any case differs from the file.
@@ -42,6 +48,7 @@ FP_FORMS = [
     (p, n, count) for p in (7, 11, 13, 17, 101) for n, count in ((5, 400), (7, 400), (9, 100))
 ]
 QQ_FORMS = [(None, 5, 60), (None, 7, 15)]
+PFAFFIAN_PRIMES = (None, 2, 3, 5, 7, 32003)
 
 
 def cli_cases() -> list[list[str]]:
@@ -116,6 +123,21 @@ def run_forms(cells, sk) -> dict[str, str]:
     return out
 
 
+def run_pfaffians(sk) -> dict[str, str]:
+    """Per pencil: the sha256 of its Pfaffian or its two sub-Pfaffian vectors."""
+    out = {}
+    for p in PFAFFIAN_PRIMES:
+        field = sk.QQ if p is None else sk.GF(p)
+        for n in range(1, 16):
+            for m in range(1, 4):
+                for seed in range(3):
+                    pm = sk.random_skew_linear(n, m, field, sk.SplitMix64(seed))
+                    pfs = sk.sub_pfaffians(pm) if n % 2 else ((sk.pfaffian_poly(pm),),)
+                    text = json.dumps([[sk.format_poly(q) for q in vec] for vec in pfs])
+                    out[f"{field!r}/n{n}/m{m}/{seed}"] = "ok " + sha(text)
+    return out
+
+
 def run_all(tree: str) -> dict[str, dict[str, str]]:
     sys.path.insert(0, os.path.join(tree, "src"))
     import skewlab as sk
@@ -125,6 +147,7 @@ def run_all(tree: str) -> dict[str, dict[str, str]]:
         "cli": {" ".join(argv): run_cli(cli.main, argv) for argv in cli_cases()},
         "fp-forms": run_forms(FP_FORMS, sk),
         "qq-forms": run_forms(QQ_FORMS, sk),
+        "pfaffians": run_pfaffians(sk),
     }
 
 
