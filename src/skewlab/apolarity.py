@@ -17,10 +17,11 @@ factorials must check ``field.char_exceeds(degree)`` first.
 
 from __future__ import annotations
 
+from math import perm, prod
 from typing import Sequence
 
 from .errors import AlphabetMismatch, NotGorensteinSocle, OddDegree, UsageError
-from .linalg import Matrix, kernel_basis, rank
+from .linalg import Matrix, kernel_basis, kernel_line, rank
 from .rings import (
     GradedSlice,
     HomogPoly,
@@ -28,21 +29,6 @@ from .rings import (
     mono_index,
     monomials,
 )
-
-
-def _falling(b: int, a: int) -> int:
-    """Falling factorial b * (b-1) * ... * (b-a+1)."""
-    out = 1
-    for i in range(a):
-        out *= b - i
-    return out
-
-
-def _action_scale(b: tuple[int, ...], a: tuple[int, ...]) -> int:
-    out = 1
-    for bi, ai in zip(b, a):
-        out *= _falling(bi, ai)
-    return out
 
 
 def _contractions(nvars: int, op_degree: int, out_deg: int):
@@ -60,7 +46,7 @@ def _contractions(nvars: int, op_degree: int, out_deg: int):
     for j, a in enumerate(monomials(nvars, op_degree)):
         for i, g in enumerate(gammas):
             b = tuple(x + y for x, y in zip(a, g))
-            yield j, i, b_idx[b], _action_scale(b, a)
+            yield j, i, b_idx[b], prod(map(perm, b, a))
 
 
 def mirror(poly: HomogPoly) -> HomogPoly:
@@ -147,7 +133,9 @@ def dual_socle_generator(gens: Sequence[HomogPoly], k: int) -> HomogPoly:
     The joint annihilator of ``gens`` inside the degree-``k`` dual piece
     must be a line; its generator is returned with the first nonzero
     grlex coefficient normalized to 1. Raises ``NotGorensteinSocle``
-    otherwise.
+    otherwise.  Only the generator blocks up to the first with at least
+    n_cols - 1 rows in all are eliminated; the later blocks check the
+    vector found (``kernel_line``).
     """
     if not gens:
         raise UsageError("need at least one generator")
@@ -158,18 +146,24 @@ def dual_socle_generator(gens: Sequence[HomogPoly], k: int) -> HomogPoly:
             raise AlphabetMismatch("generators must share alphabet and field")
     nvars = alphabet.nvars
     n_cols = dim_homog(nvars, k)
+    walks: dict[int, list] = {}  # one contraction walk per generator degree
     rows: list[list] = []
+    bounds = []
     for g in gens:
         if g.degree > k:
             continue
-        out_deg = k - g.degree
-        block = [[field.zero] * n_cols for _ in range(dim_homog(nvars, out_deg))]
+        if g.degree not in walks:
+            walks[g.degree] = list(_contractions(nvars, g.degree, k - g.degree))
+        block = [[field.zero] * n_cols for _ in range(dim_homog(nvars, k - g.degree))]
         coeffs = g.coeffs
-        for j, i, l, scale in _contractions(nvars, g.degree, out_deg):
+        for j, i, l, scale in walks[g.degree]:
             if coeffs[j]:
                 block[i][l] = field.mul(coeffs[j], scale)
         rows.extend(block)
-    ker = kernel_basis(Matrix(field, rows, n_cols))
+        bounds.append(len(rows))
+    # fewer than n_cols - 1 rows leave at least a plane, so no shorter prefix can give a line
+    prefix = next((b for b in bounds if b >= n_cols - 1), len(rows))
+    ker = kernel_line(Matrix(field, rows, n_cols), prefix)
     if ker.ncols != 1:
         raise NotGorensteinSocle(
             f"joint annihilator in degree {k} has dimension {ker.ncols}, expected 1"

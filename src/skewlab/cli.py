@@ -107,9 +107,9 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _seeded_skew(args, field: Field):
+def _seeded_skew(args, field: Field, m: int):
     rng = SplitMix64(args.seed)
-    return skew_linear(random_skew_linear(args.n, args.m, field, rng))
+    return skew_linear(random_skew_linear(args.n, m, field, rng))
 
 
 def _seeded_dual_form(args, field: Field):
@@ -128,7 +128,7 @@ def _input_or_seeded_skew(args, field: Field):
     if args.m is None or args.n is None:
         raise UsageError("need --m and --n to generate an instance")
     locus_profile(args.n, args.m)
-    return _seeded_skew(args, field)
+    return _seeded_skew(args, field, args.m)
 
 
 # -- commands -----------------------------------------------------------------
@@ -139,7 +139,7 @@ def cmd_random(args) -> dict:
     if args.m is None or args.n is None or args.seed is None:
         raise UsageError("random needs --m, --n and --seed")
     profile = locus_profile(args.n, args.m)
-    pm = _seeded_skew(args, field)
+    pm = _seeded_skew(args, field, args.m)
     flipped = tensor_flip(pm)
     return {
         "command": "random",
@@ -169,8 +169,7 @@ def cmd_correspond(args) -> dict:
         else:
             if args.n is None:
                 raise UsageError("need --n to generate an instance")
-            rng = SplitMix64(args.seed)
-            pm = skew_linear(random_skew_linear(args.n, 3, field, rng))
+            pm = _seeded_skew(args, field, 3)
         form, cert = matrix_to_form(pm)
         payload["matrix"] = poly_matrix_to_json(pm, "skew-linear")
         payload["form"] = poly_to_json(form)

@@ -22,7 +22,7 @@ from .errors import (
     SyzygyDefect,
 )
 from .fields import Field
-from .linalg import Matrix, kernel_basis
+from .linalg import Matrix, kernel_basis, kernel_line
 from .rings import GradedSlice, HomogPoly, dim_homog, mono_index, slice_of_products, slices_equal
 from .skew import PolyMatrix, skew_linear, sub_pfaffians
 
@@ -161,24 +161,27 @@ def _skew_combinations(layers: list[Matrix], n: int, field: Field) -> list:
     """The one solution Q, row-major, of the skewness constraints with N = Q T.
 
     ``layers[k]`` is T_k, the y_k coefficient matrix of T.  Unknowns are
-    the n^2 entries of Q in row-major order; for every pair i <= j and
-    every variable the constraint is (Q T_k)_{ij} + (Q T_k)_{ji} = 0,
-    whose coefficients on row i of Q are column j of T_k and vice versa.
-    For i = j the row is (Q T_k)_{ii} = 0, half the constraint, with the
-    same solutions: the characteristic exceeds n - 3 >= 2.  Returns the
-    canonical basis vector of the solution line, and raises
-    ``SkewNormalizationFailure`` with the dimension of any other space.
+    the n^2 entries of Q in row-major order; for every variable and every
+    pair i <= j the constraint is (Q T_k)_{ij} + (Q T_k)_{ji} = 0, whose
+    coefficients on row i of Q are column j of T_k and vice versa.  For
+    i = j the row is (Q T_k)_{ii} = 0, half the constraint, with the same
+    solutions: the characteristic exceeds n - 3 >= 2.  The rows run layer
+    by layer, and the first two layers, n^2 + n rows for n^2 unknowns,
+    are eliminated; the third only checks their solution
+    (``kernel_line``).  Returns the canonical basis vector of the
+    solution line, and raises ``SkewNormalizationFailure`` with the
+    dimension of any other space.
     """
-    cols = [t.columns() for t in layers]
     rows = []
-    for i in range(n):
-        for j in range(i, n):
-            for ck in cols:
+    for t in layers:
+        ck = t.columns()
+        for i in range(n):
+            for j in range(i, n):
                 row = [field.zero] * (n * n)
                 row[i * n : (i + 1) * n] = ck[j]
                 row[j * n : (j + 1) * n] = ck[i]
                 rows.append(row)
-    q_space = kernel_basis(Matrix(field, rows, n * n))
+    q_space = kernel_line(Matrix(field, rows, n * n), n * n + n)
     if q_space.ncols != 1:
         raise SkewNormalizationFailure(
             f"skew solution space has dimension {q_space.ncols}, expected 1"

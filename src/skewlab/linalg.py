@@ -3,8 +3,10 @@
 Every row operation over F_p happens in one kernel, ``_rref_inplace``:
 Gauss-Jordan elimination that takes the first nonzero entry in scan
 order as pivot and returns the pivot columns.  ``rank``,
-``kernel_basis``, ``solve`` and ``column_space_canonical`` are thin
-wrappers over one reduced echelon form, ``_echelon``.  Reduced
+``kernel_basis``, ``kernel_line``, ``solve`` and
+``column_space_canonical`` are thin wrappers over one reduced echelon
+form, ``_echelon``; ``kernel_line`` reduces only a prefix of the rows
+and checks the rest against the vector it finds.  Reduced
 echelon forms are fully normalized and kernel bases put a unit at their
 own free coordinate, so every result is canonical.  Matrices are dense
 lists of lists.  Inside the kernel the field holds each row in its
@@ -273,6 +275,30 @@ def kernel_basis(mat: Matrix) -> Matrix:
                 v[pc] = field.neg(row[fc])
             cols.append(v)
     return Matrix.from_columns(field, cols, ncols)
+
+
+def kernel_line(mat: Matrix, prefix: int) -> Matrix:
+    """``kernel_basis(mat)``, eliminating only the first ``prefix`` rows if that gives at most a line.
+
+    The kernel of ``mat`` lies inside the kernel of its first ``prefix``
+    rows.  A zero prefix kernel is the answer.  A prefix line is the
+    answer when every later row annihilates its vector v, and otherwise
+    the kernel is zero; v is the canonical basis vector of the full
+    kernel too, since both carry the unit at their last nonzero
+    coordinate.  A larger prefix kernel falls back to the whole system.
+    """
+    field, ncols = mat.field, mat.ncols
+    ker = kernel_basis(Matrix(field, mat.rows[:prefix], ncols))
+    if ker.ncols > 1 and prefix < mat.nrows:
+        return kernel_basis(mat)
+    if ker.ncols == 1:
+        v, rest = ker.column(0), mat.rows[prefix:]
+        if field.is_rational:
+            # rescaled to integers, the rows and v check without Fraction arithmetic
+            (v,), rest = integer_rows([v]), integer_rows(rest)
+        if any(field.from_int(sum(map(mul, row, v))) for row in rest):
+            return Matrix.from_columns(field, [], ncols)
+    return ker
 
 
 def solve(mat: Matrix, rhs: Sequence) -> list | None:

@@ -186,8 +186,19 @@ def test_dual_socle_generator_degree_zero():
 
 def test_dual_socle_generator_rejects_fat_annihilator():
     # a single quadric kills a 5-dimensional space of quadratic operators
-    with pytest.raises(NotGorensteinSocle):
+    with pytest.raises(NotGorensteinSocle, match="in degree 2 has dimension 5, expected 1"):
         dual_socle_generator([ypoly("y0^2")], 2)
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=["GF101", "QQ"])
+def test_socle_solve_past_a_fat_prefix_keeps_its_dimension(field):
+    # two linear blocks fill the 6 - 1 rows a line needs; y0 twice leaves the
+    # three quadrics in d1, d2, so the later blocks decide the dimension
+    y0, y1 = ypoly("y0", field), ypoly("y1", field)
+    with pytest.raises(NotGorensteinSocle, match="in degree 2 has dimension 3, expected 1"):
+        dual_socle_generator([y0, y0, y0], 2)
+    got = dual_socle_generator([y0, y0, y1, y1], 2)
+    assert got == dpoly("d2^2", field)
 
 
 @pytest.mark.parametrize("count", [3, 13])

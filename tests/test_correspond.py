@@ -27,6 +27,7 @@ from skewlab import (
     sub_pfaffians,
     y_vars,
 )
+from skewlab import linalg
 from skewlab.randomness import (
     random_form,
     random_nondegenerate_dual_form,
@@ -199,10 +200,36 @@ def test_form_to_matrix_genericity_exits(field, text, error):
 
 
 def test_form_to_matrix_needs_a_line_of_skew_solutions():
-    # the first basis vector of a larger solution space is not tried
+    # the first basis vector of a larger solution space is not tried; the
+    # first two layers leave more than a line here, so the message counts
+    # the solutions of all three
     for field in (GF(101), QQ):
         with pytest.raises(SkewNormalizationFailure, match="skew solution space has dimension 3"):
             form_to_matrix(parse_poly("d0^2*d1*d2", d_vars(), field))
+
+
+def test_line_solves_eliminate_only_the_rows_they_need(monkeypatch):
+    # the skew solve reduces layers T_0 and T_1, the socle solve the generator
+    # blocks up to the first boundary with at least n_cols - 1 rows
+    n, field = 11, GF(32003)
+    shapes = []
+    echelon = linalg._echelon
+
+    def spy(rows, fld, ncols):
+        shapes.append((len(rows), ncols))
+        return echelon(rows, fld, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon", spy)
+    form_to_matrix(random_nondegenerate_dual_form(n - 3, field, SplitMix64(1)))
+    skew_rows = [rows for rows, ncols in shapes if ncols == n * n]
+    assert skew_rows == [n * n + n] and 3 * n * (n + 1) // 2 not in skew_rows
+
+    shapes.clear()
+    matrix_to_form(seeded_pencil(n, field, 1))
+    n_cols, block = dim_homog(3, n - 3), dim_homog(3, n - 3 - (n - 1) // 2)
+    boundary = -(-(n_cols - 1) // block) * block
+    socle_rows = [rows for rows, ncols in shapes if ncols == n_cols]
+    assert boundary == 50 and max(socle_rows) == boundary < n * block
 
 
 def test_qq_skew_failure_states_the_exact_dimension():

@@ -253,6 +253,53 @@ def test_kernel_spans_sympy_nullspace():
     assert rank(joint) == ours.ncols
 
 
+#: Prefixes with kernel zero, the line (1, 2, 3, 1), and a plane around that line.
+ZERO = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+LINE = [[1, 0, 0, -1], [0, 1, 0, -2], [0, 0, 1, -3]]
+PLANE = LINE[:2]
+
+#: (prefix rows, later rows, full kernel dimension, eliminations) for each exit of ``kernel_line``.
+KERNEL_LINE_EXITS = {
+    "prefix-zero": (ZERO, [[1, 1, 1, 1]], 0, 1),
+    "line-kept": (LINE, [[2, 1, 0, -4], [0, 3, -1, -3]], 1, 1),
+    "line-rejected": (LINE, [[2, 1, 0, -4], [0, 0, 0, 1]], 0, 1),
+    "plane-to-line": (PLANE, [[0, 0, 1, -3]], 1, 2),
+    "plane-stays": (PLANE, [[2, 1, 0, -4]], 2, 2),
+}
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=["GF101", "QQ"])
+@pytest.mark.parametrize("case", list(KERNEL_LINE_EXITS))
+def test_kernel_line_matches_kernel_basis_on_each_exit(monkeypatch, field, case):
+    head, tail, dim, eliminations = KERNEL_LINE_EXITS[case]
+    mat = Matrix(field, [[field.from_int(a) for a in row] for row in head + tail])
+    want = kernel_basis(mat)
+    calls = []
+    echelon = linalg._echelon
+
+    def spy(rows, fld, ncols):
+        calls.append(len(rows))
+        return echelon(rows, fld, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon", spy)
+    assert linalg.kernel_line(mat, len(head)) == want
+    assert want.ncols == dim
+    # the prefix is eliminated first, and only a prefix kernel above a line reduces every row
+    assert calls == [len(head), mat.nrows][:eliminations]
+
+
+def test_kernel_line_equals_kernel_basis_at_every_prefix():
+    rng = SplitMix64(15)
+    for field in (GF(5), QQ):
+        for _ in range(40):
+            nrows, ncols = 1 + rng.below(7), 1 + rng.below(6)
+            entries = [[field.from_int(rng.randint(-1, 1)) for _ in range(ncols)] for _ in range(nrows)]
+            mat = Matrix(field, entries)
+            want = kernel_basis(mat)
+            for prefix in range(nrows + 1):
+                assert linalg.kernel_line(mat, prefix) == want
+
+
 def test_solve_particular_and_inconsistent():
     rng = SplitMix64(99)
     for field in (QQ, GF(101)):
