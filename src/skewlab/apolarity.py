@@ -68,7 +68,7 @@ def pairing_matrix(target: HomogPoly, op_degree: int) -> Matrix:
     coeffs = target.coeffs
     for j, i, l, scale in _contractions(nvars, op_degree, out_deg):
         if coeffs[l]:
-            mat[i][j] = field.mul(coeffs[l], scale)
+            mat[i][j] = field.from_int(coeffs[l] * scale)
     return Matrix(field, mat, n_ops)
 
 
@@ -158,7 +158,7 @@ def dual_socle_generator(gens: Sequence[HomogPoly], k: int) -> HomogPoly:
         coeffs = g.coeffs
         for j, i, l, scale in walks[g.degree]:
             if coeffs[j]:
-                block[i][l] = field.mul(coeffs[j], scale)
+                block[i][l] = field.from_int(coeffs[j] * scale)
         rows.extend(block)
         bounds.append(len(rows))
     # fewer than n_cols - 1 rows leave at least a plane, so no shorter prefix can give a line

@@ -2,10 +2,12 @@
 
 Scalars are plain Python objects: ``fractions.Fraction`` for the
 rationals (always in lowest terms with positive denominator), ``int`` in
-``[0, p)`` for F_p. A ``Field`` instance bundles the arithmetic so that
-matrix and polynomial code stays field-agnostic.
+``[0, p)`` for F_p. The rationals ``QQ`` and each F_p, ``GF(p)``, are
+instances of two classes, so a field is decided once, when it is built.
+Other modules compute with ``+``, ``-`` and ``*`` and reduce the result
+with ``from_int``, the one reducing verb (``axpy`` for a row update).
 
-The F_p elimination kernel works on packed rows.  A row is one
+The F_p elimination kernel works on ``GF``'s packed rows.  A row is one
 nonnegative int with a fixed-width field per entry, column 0 in the low
 bits; a row update adds a multiple of another row to it in one big-int
 multiply-add, without reducing, and the width (``pack_width``) leaves
@@ -92,20 +94,12 @@ def check_size(value: Any, what: str) -> int:
 
 
 class Field:
-    """The rationals (``p is None``) or the prime field F_p."""
+    """What the two fields, ``QQ`` and ``GF(p)``, share."""
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int | None = None):
-        if p is not None and not is_prime(p):
-            raise RangeError(f"field modulus must be prime, got {p}")
-        self.p = p
-
-    # -- identity ----------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
+    #: True for QQ; ``linalg`` and ``degeneracy`` choose algorithms by it.
+    is_rational = False
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and other.p == self.p
@@ -113,58 +107,109 @@ class Field:
     def __hash__(self) -> int:
         return hash(("Field", self.p))
 
+    def parse_scalar(self, text: str):
+        """Parse ``"3"``, ``"-2/7"``; fractions over F_p use inversion."""
+        text = text.strip()
+        try:
+            q = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"bad scalar literal {text!r}") from exc
+        return self.from_int(q.numerator * self.inv(self.from_int(q.denominator)))
+
+    def scalar_from_json(self, obj):
+        if isinstance(obj, bool) or not isinstance(obj, (int, str)):
+            raise FormatError(f"bad scalar JSON {obj!r}")
+        if isinstance(obj, int):
+            return self.from_int(obj)
+        return self.parse_scalar(obj)
+
+    @staticmethod
+    def from_json(obj: Any) -> "Field":
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise FormatError(f"bad field JSON {obj!r}")
+        if obj["kind"] == "q":
+            return QQ
+        if obj["kind"] == "fp":
+            return GF(json_int(obj.get("p"), "field modulus"))
+        raise FormatError(f"unknown field kind {obj['kind']!r}")
+
+
+class Rationals(Field):
+    """The rationals; its one instance is ``QQ``."""
+
+    __slots__ = ()
+
+    p = None
+    is_rational = True
+    zero = Fraction(0)
+    one = Fraction(1)
+
     def __repr__(self) -> str:
-        return "QQ" if self.p is None else f"GF({self.p})"
-
-    # -- constants and conversions ------------------------------------
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
+        return "QQ"
 
     def from_int(self, a):
-        """An integer, or over QQ an exact rational, as a reduced field scalar."""
-        return Fraction(a) if self.p is None else a % self.p
+        """An integer or an exact rational as a ``Fraction``; a ``Fraction`` is returned as is."""
+        return a if type(a) is Fraction else Fraction(a)
 
     def char_exceeds(self, k: int) -> bool:
-        """True when the characteristic is 0 or greater than ``k``."""
-        return self.p is None or self.p > k
-
-    # -- arithmetic ----------------------------------------------------
-
-    def add(self, a, b):
-        return (a + b) if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) if self.p is None else (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
+        return True
 
     def inv(self, a):
-        if self.p is None:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(a)
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return 1 / Fraction(a)
+
+    def axpy(self, c, x, y) -> list:
+        """The vector ``x + c * y``."""
+        return [a + c * b for a, b in zip(x, y)]
+
+    def scalar_to_json(self, a):
+        return int(a) if a.denominator == 1 else str(a)
+
+    def to_json(self) -> dict:
+        return {"kind": "q"}
+
+
+class GF(Field):
+    """The prime field F_p (p must be prime); scalars are ints in [0, p)."""
+
+    __slots__ = ()
+
+    zero = 0
+    one = 1
+
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise RangeError(f"field modulus must be prime, got {p}")
+        self.p = p
+
+    def __repr__(self) -> str:
+        return f"GF({self.p})"
+
+    def from_int(self, a):
+        """An integer, or an integer expression in field scalars, reduced mod p."""
+        return a % self.p
+
+    def char_exceeds(self, k: int) -> bool:
+        return self.p > k
+
+    def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
     def axpy(self, c, x, y) -> list:
         """The vector ``x + c * y``, reduced."""
-        if self.p is None:
-            return [a + c * b for a, b in zip(x, y)]
         p = self.p
         return [(a + c * b) % p for a, b in zip(x, y)]
 
-    # -- packed F_p rows (the elimination kernel's representation) ------
+    def scalar_to_json(self, a):
+        return a
+
+    def to_json(self) -> dict:
+        return {"kind": "fp", "p": self.p}
+
+    # -- packed rows (the elimination kernel's representation) ---------
 
     def pack_width(self, k: int) -> int:
         """Bits per entry of a packed row that takes at most ``k`` updates.
@@ -194,66 +239,16 @@ class Field:
         """The packed row ``x + c * y``: it adds ``c mod p`` times ``y`` unreduced."""
         return x + c % self.p * y
 
-    # -- text and JSON -------------------------------------------------
-
-    def format_scalar(self, a) -> str:
-        return str(a)
-
-    def parse_scalar(self, text: str):
-        """Parse ``"3"``, ``"-2/7"``; fractions over F_p use inversion."""
-        text = text.strip()
-        try:
-            q = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad scalar literal {text!r}") from exc
-        if self.p is None:
-            return q
-        return self.mul(q.numerator % self.p, self.inv(q.denominator % self.p))
-
-    def scalar_to_json(self, a):
-        if self.p is not None:
-            return a
-        if a.denominator == 1:
-            return int(a)
-        return str(a)
-
-    def scalar_from_json(self, obj):
-        if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-            raise FormatError(f"bad scalar JSON {obj!r}")
-        if isinstance(obj, int):
-            return self.from_int(obj)
-        return self.parse_scalar(obj)
-
-    def to_json(self) -> dict:
-        if self.p is None:
-            return {"kind": "q"}
-        return {"kind": "fp", "p": self.p}
-
-    @staticmethod
-    def from_json(obj: Any) -> "Field":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise FormatError(f"bad field JSON {obj!r}")
-        if obj["kind"] == "q":
-            return QQ
-        if obj["kind"] == "fp":
-            return Field(json_int(obj.get("p"), "field modulus"))
-        raise FormatError(f"unknown field kind {obj['kind']!r}")
-
 
 #: The rational field, shared instance.
-QQ = Field()
-
-
-def GF(p: int) -> Field:
-    """The prime field F_p (p must be prime)."""
-    return Field(p)
+QQ = Rationals()
 
 
 #: F_q for the primes q below 2**61, largest first, found by ``modular_field``.
-_MODULAR_FIELDS: list[Field] = []
+_MODULAR_FIELDS: list[GF] = []
 
 
-def modular_field(i: int) -> Field:
+def modular_field(i: int) -> GF:
     """F_q for the ``i``-th prime below 2**61, counting down from 2**61 - 1.
 
     It lies above 2**60 for every i below 2**54, as the QQ prime bound needs.
@@ -262,7 +257,7 @@ def modular_field(i: int) -> Field:
         q = _MODULAR_FIELDS[-1].p - 2 if _MODULAR_FIELDS else (1 << 61) - 1
         while not is_prime(q):
             q -= 2
-        _MODULAR_FIELDS.append(Field(q))
+        _MODULAR_FIELDS.append(GF(q))
     return _MODULAR_FIELDS[i]
 
 

@@ -272,7 +272,7 @@ def kernel_basis(mat: Matrix) -> Matrix:
             v = [field.zero] * ncols
             v[fc] = field.one
             for row, pc in zip(rows, pivots):
-                v[pc] = field.neg(row[fc])
+                v[pc] = field.from_int(-row[fc])
             cols.append(v)
     return Matrix.from_columns(field, cols, ncols)
 

@@ -8,8 +8,6 @@ each sampler.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DegenerateForm, InternalError, UsageError
 from .fields import Field
 from .rings import Alphabet, HomogPoly, dim_homog
@@ -60,8 +58,8 @@ class SplitMix64:
 
 def random_scalar(field: Field, rng: SplitMix64):
     """One coefficient: uniform in [-9, 9] over QQ, uniform over F_p."""
-    if field.p is None:
-        return Fraction(rng.randint(*RATIONAL_BOX))
+    if field.is_rational:
+        return field.from_int(rng.randint(*RATIONAL_BOX))
     return rng.below(field.p)
 
 
@@ -93,7 +91,7 @@ def random_skew_linear(n: int, m: int, field: Field, rng: SplitMix64) -> PolyMat
         for j in range(i + 1, n):
             for a in layers:
                 a[i][j] = random_scalar(field, rng)
-                a[j][i] = field.neg(a[i][j])
+                a[j][i] = field.from_int(-a[i][j])
     return PolyMatrix(Alphabet("Y", m), 1, field, layers)
 
 

@@ -16,8 +16,8 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import AlphabetMismatch, DegreeMismatch, FormatError, SkewlabError, UsageError
-from .fields import Field, check_size, json_int
+from .errors import AlphabetMismatch, DegreeMismatch, FormatError, RangeError, SkewlabError, UsageError
+from .fields import MAX_ORDER, Field, check_size, json_int
 from .linalg import Matrix, column_space_canonical
 
 _PREFIX = {"Y": "y", "D": "d", "X": "x"}
@@ -128,7 +128,7 @@ class HomogPoly:
             expo = tuple(expo)
             if expo not in idx:
                 raise DegreeMismatch(f"exponent {expo} is not homogeneous of degree {degree}")
-            coeffs[idx[expo]] = field.add(coeffs[idx[expo]], c)
+            coeffs[idx[expo]] = field.from_int(coeffs[idx[expo]] + c)
         return cls(alphabet, degree, field, coeffs)
 
     # -- structure -------------------------------------------------------
@@ -163,7 +163,7 @@ class HomogPoly:
             self.alphabet,
             self.degree,
             f,
-            [f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)],
+            [f.from_int(a + b) for a, b in zip(self.coeffs, other.coeffs)],
         )
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
@@ -173,16 +173,16 @@ class HomogPoly:
             self.alphabet,
             self.degree,
             f,
-            [f.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)],
+            [f.from_int(a - b) for a, b in zip(self.coeffs, other.coeffs)],
         )
 
     def __neg__(self) -> "HomogPoly":
         f = self.field
-        return HomogPoly(self.alphabet, self.degree, f, [f.neg(a) for a in self.coeffs])
+        return HomogPoly(self.alphabet, self.degree, f, [f.from_int(-a) for a in self.coeffs])
 
     def scale(self, c) -> "HomogPoly":
         f = self.field
-        return HomogPoly(self.alphabet, self.degree, f, [f.mul(c, a) for a in self.coeffs])
+        return HomogPoly(self.alphabet, self.degree, f, [f.from_int(c * a) for a in self.coeffs])
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
         self._check_compatible(other, same_degree=False)
@@ -191,14 +191,14 @@ class HomogPoly:
         tdeg = self.degree + other.degree
         out = [f.zero] * dim_homog(nvars, tdeg)
         idx = mono_index(nvars, tdeg)
-        add = f.add
+        reduce = f.from_int
         sterms = list(self.terms())
         oterms = list(other.terms())
         for c1, e1 in sterms:
             for c2, e2 in oterms:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 i = idx[e]
-                out[i] = add(out[i], c1 * c2)
+                out[i] = reduce(out[i] + c1 * c2)
         return HomogPoly(self.alphabet, tdeg, f, out)
 
     def evaluate(self, point: Sequence):
@@ -253,11 +253,10 @@ def _format_monomial(alphabet: Alphabet, expo: tuple[int, ...]) -> str:
 
 def format_poly(poly: HomogPoly) -> str:
     """Canonical text form, e.g. ``3*y0^2*y1 - y2^3``; zero prints ``0``."""
-    field = poly.field
     pieces = []
     for c, expo in poly.terms():
         mono = _format_monomial(poly.alphabet, expo)
-        txt = field.format_scalar(c)
+        txt = str(c)
         neg = txt.startswith("-")
         mag = txt[1:] if neg else txt
         if mono:
@@ -317,7 +316,7 @@ def parse_poly(
             if not factor:
                 raise FormatError(f"empty factor in {text!r}")
             if factor[0].isdigit() or factor[0] == ".":
-                coeff = field.mul(coeff, field.parse_scalar(factor))
+                coeff = field.from_int(coeff * field.parse_scalar(factor))
                 continue
             if not factor.startswith(prefix):
                 raise FormatError(f"unknown variable in factor {factor!r}")
@@ -339,7 +338,7 @@ def parse_poly(
             expo[vi] += e
             deg += e
         if sign < 0:
-            coeff = field.neg(coeff)
+            coeff = field.from_int(-coeff)
         if degree is None:
             degree = deg
         if deg != degree and coeff != 0:
@@ -355,6 +354,17 @@ def parse_poly(
 # -- JSON format --------------------------------------------------------------
 
 
+def grading_from_json(obj: dict) -> tuple[Alphabet, int]:
+    """The alphabet and degree of a JSON polynomial, matrix or slice, each capped."""
+    alphabet = Alphabet(str(obj["alphabet"]), check_size(obj["nvars"], "nvars"))
+    degree = check_size(obj["degree"], "degree")
+    # their monomials too, before anything is built: no command reads more than a ternary form has
+    cap = dim_homog(3, MAX_ORDER)
+    if dim_homog(alphabet.nvars, degree) > cap:
+        raise RangeError(f"{alphabet.nvars} variables in degree {degree} span more than {cap} monomials")
+    return alphabet, degree
+
+
 def poly_to_json(poly: HomogPoly) -> dict:
     field = poly.field
     return {
@@ -368,8 +378,7 @@ def poly_to_json(poly: HomogPoly) -> dict:
 
 def poly_from_json(obj: dict) -> HomogPoly:
     try:
-        alphabet = Alphabet(str(obj["alphabet"]), check_size(obj["nvars"], "nvars"))
-        degree = check_size(obj["degree"], "degree")
+        alphabet, degree = grading_from_json(obj)
         field = Field.from_json(obj["field"])
         terms = [
             (field.scalar_from_json(c), tuple(json_int(x, "exponent") for x in e))
@@ -469,8 +478,7 @@ class GradedSlice:
     def from_json(obj: dict) -> "GradedSlice":
         try:
             field = Field.from_json(obj["field"])
-            alphabet = Alphabet(str(obj["alphabet"]), check_size(obj["nvars"], "nvars"))
-            degree = check_size(obj["degree"], "degree")
+            alphabet, degree = grading_from_json(obj)
             cols = [list(parse_poly(t, alphabet, field, degree).coeffs) for t in obj["basis"]]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad slice JSON: {exc}") from exc

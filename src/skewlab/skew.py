@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fields import Field, check_size
 from .linalg import Matrix
-from .rings import Alphabet, HomogPoly, format_poly, mono_index, monomials, parse_poly
+from .rings import Alphabet, HomogPoly, format_poly, grading_from_json, mono_index, monomials, parse_poly
 
 
 class PolyMatrix:
@@ -99,9 +99,9 @@ class PolyMatrix:
 
 def is_skew_matrix(pm: PolyMatrix) -> bool:
     n = pm.nrows
-    neg = pm.field.neg
+    reduce = pm.field.from_int
     return n == pm.ncols and all(
-        a[i][i] == 0 and all(a[i][j] == neg(a[j][i]) for j in range(i + 1, n))
+        a[i][i] == 0 and all(a[i][j] == reduce(-a[j][i]) for j in range(i + 1, n))
         for a in pm.layers
         for i in range(n)
     )
@@ -282,7 +282,7 @@ def _lattice_forms(pm: PolyMatrix) -> list[HomogPoly]:
     _interpolate(values, nvars, deg)
     denom = factorial(deg) ** (nvars - 1)
     inv = field.inv(field.from_int(scale**half))
-    coeff = lambda v: field.mul(field.from_int(v // denom), inv)
+    coeff = lambda v: field.from_int(v // denom * inv)
     return [
         HomogPoly(pm.alphabet, deg, field, [coeff(vec[c]) for vec in values])
         for c in range(len(values[0]))
@@ -384,8 +384,7 @@ def poly_matrix_from_json(obj: dict) -> PolyMatrix:
     try:
         kind = obj["kind"]
         field = Field.from_json(obj["field"])
-        alphabet = Alphabet(str(obj["alphabet"]), check_size(obj["nvars"], "nvars"))
-        degree = check_size(obj["degree"], "degree")
+        alphabet, degree = grading_from_json(obj)
         check_size(len(obj["entries"]), "matrix order")
         entries = [
             [parse_poly(t, alphabet, field, degree) for t in row] for row in obj["entries"]

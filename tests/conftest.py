@@ -84,7 +84,7 @@ def rref_oracle(rows, field):
     m = len(rows)
     if m == 0:
         return pivots, factor
-    mul = field.mul
+    reduce = field.from_int
     r = 0
     for c in range(len(rows[0])):
         pr = None
@@ -96,12 +96,12 @@ def rref_oracle(rows, field):
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-            factor = field.neg(factor)
+            factor = reduce(-factor)
         piv = rows[r][c]
-        factor = mul(factor, piv)
+        factor = reduce(factor * piv)
         inv = field.inv(piv)
         if inv != 1:
-            rows[r] = [mul(x, inv) for x in rows[r]]
+            rows[r] = [reduce(x * inv) for x in rows[r]]
         prow = rows[r]
         for i in range(m):
             fac = rows[i][c]
@@ -167,7 +167,7 @@ def random_scalar_skew(n, field, rng):
     for i in range(n):
         for j in range(i + 1, n):
             rows[i][j] = random_scalar(field, rng)
-            rows[j][i] = field.neg(rows[i][j])
+            rows[j][i] = field.from_int(-rows[i][j])
     return Matrix(field, rows, n)
 
 

@@ -266,7 +266,7 @@ def oracle_matrix(field, blocks, k):
                     continue
                 i = g_idx[tuple(x - y for x, y in zip(b, a))]
                 col, coeff = (j, coeffs[l]) if carrier == "b" else (l, coeffs[j])
-                block[i][col] = field.add(block[i][col], field.mul(coeff, field.from_int(c)))
+                block[i][col] = field.from_int(block[i][col] + coeff * field.from_int(c))
         rows.extend(block)
     ncols = dim_homog(3, blocks[0][1]) if blocks[0][2] == "b" else dim_homog(3, k)
     return Matrix(field, rows, ncols)

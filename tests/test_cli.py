@@ -294,6 +294,39 @@ def test_oversized_form_file_exits_two_at_once(tmp_path, capsys, key, form):
     assert f"{key} must be at most {MAX_ORDER}" in err and "Traceback" not in err
 
 
+def wide_form(nvars, degree):
+    return {"alphabet": "D", "nvars": nvars, "degree": degree, "terms": [[1, [degree] + [0] * (nvars - 1)]]}
+
+
+def wide_pencil(nvars, degree):
+    return {"kind": "pencil", "alphabet": "Y", "nvars": nvars, "degree": degree, "entries": [["0"] * 3] * 3}
+
+
+# nvars and degree each within MAX_ORDER, but spanning more monomials than a ternary
+# form of degree MAX_ORDER: refused before a coefficient vector is allocated
+WIDE_FILES = [
+    (["correspond", "from-form"], wide_form(41, 41)),
+    (["project"], wide_form(41, 41)),
+    (["correspond", "from-form"], wide_form(12, 12)),
+    (["correspond", "from-matrix"], wide_pencil(41, 41)),
+    (["correspond", "from-matrix"], wide_pencil(12, 12)),
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc", WIDE_FILES, ids=["form-41", "project-41", "form-12", "pencil-41", "pencil-12"]
+)
+def test_file_spanning_too_many_monomials_exits_two_at_once(tmp_path, capsys, command, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(dict(doc, field={"kind": "fp", "p": 32003})))
+    start = time.monotonic()
+    assert main([*command, "--in", str(path)]) == 2
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    expected = f"{doc['nvars']} variables in degree {doc['degree']} span more than 903 monomials"
+    assert expected in err and "Traceback" not in err
+
+
 def test_oversized_matrix_file_exits_two(tmp_path, capsys):
     doc = run_json(tmp_path, "random", "--m", "3", "--n", "5", "--seed", "1")
     zero_rows = [["0"] * (MAX_ORDER + 1) for _ in range(MAX_ORDER + 1)]

@@ -78,20 +78,24 @@ def test_moduli_beyond_the_deterministic_range_are_rejected():
 
 def test_gf_arithmetic():
     f = GF(7)
-    assert f.add(5, 4) == 2
-    assert f.mul(5, 4) == 6
-    assert f.sub(2, 5) == 4
+    assert f.from_int(5 + 4) == 2
+    assert f.from_int(5 * 4) == 6
+    assert f.from_int(2 - 5) == 4
     assert f.from_int(-1) == 6
     for a in range(1, 7):
-        assert f.mul(a, f.inv(a)) == 1
+        assert f.from_int(a * f.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
 
 
 def test_qq_is_exact():
-    assert QQ.mul(1, QQ.inv(3)) == Fraction(1, 3)
-    assert QQ.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
+    assert QQ.from_int(1 * QQ.inv(3)) == Fraction(1, 3)
+    assert QQ.from_int(Fraction(1, 3) + Fraction(1, 6)) == Fraction(1, 2)
     assert QQ.is_rational and QQ.p is None
+    # ints are wrapped, and a Fraction comes back as it is, not copied
+    assert type(QQ.from_int(3)) is Fraction and QQ.from_int(3) == 3
+    half = Fraction(1, 2)
+    assert QQ.from_int(half) is half
 
 
 def test_char_exceeds():
@@ -103,7 +107,7 @@ def test_char_exceeds():
 def test_scalar_text_roundtrip():
     for f, values in ((QQ, [Fraction(-3, 7), Fraction(5)]), (GF(11), [0, 1, 10])):
         for v in values:
-            assert f.parse_scalar(f.format_scalar(v)) == v
+            assert f.parse_scalar(str(v)) == v
 
 
 def test_field_axpy_reduces():
@@ -111,15 +115,33 @@ def test_field_axpy_reduces():
     assert QQ.axpy(Fraction(1, 2), [Fraction(1)], [Fraction(3)]) == [Fraction(5, 2)]
 
 
-@pytest.mark.parametrize(
-    "module",
-    [linalg, rings, apolarity, skew, degeneracy, correspond, cohomology, cli],
-    ids=lambda m: m.__name__,
-)
+#: Every module of the package, ``skewlab`` itself for ``__init__.py``.
+PACKAGE_MODULES = [
+    importlib.import_module("skewlab" if name == "__init__.py" else f"skewlab.{name[:-3]}")
+    for name in sorted(os.listdir(os.path.dirname(skewlab.__file__)))
+    if name.endswith(".py")
+]
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES, ids=lambda m: m.__name__)
 def test_only_field_tells_the_fields_apart(module):
-    # these modules reduce scalars through Field and never ask which field it is
+    # a field is decided when its class is built: no module, fields included, asks again
     source = inspect.getsource(module)
     assert "p is None" not in source and "p is not None" not in source
+
+
+def test_the_fields_reduce_only_through_from_int():
+    # the arithmetic verbs are gone: callers reduce plain expressions with from_int
+    for cls in (Field, type(QQ), GF):
+        for verb in ("add", "sub", "mul", "neg", "format_scalar"):
+            assert not hasattr(cls, verb), (cls.__name__, verb)
+    assert isinstance(QQ, Field) and isinstance(GF(7), Field)
+    assert (QQ.zero, QQ.one, GF(7).zero, GF(7).one) == (0, 1, 0, 1)
+    assert type(QQ.zero) is Fraction and type(GF(7).one) is int
+    with pytest.raises(RangeError, match="field modulus must be prime, got 4"):
+        Field.from_json({"kind": "fp", "p": 4})
+    with pytest.raises(RangeError, match="field modulus must be prime, got 4"):
+        GF(4)
 
 
 #: The names ``skewlab/__init__.py`` exports that no package module calls, and why they stay.
@@ -349,7 +371,7 @@ def test_det_multiplicative():
     for field in (QQ, GF(32003)):
         a = random_matrix(field, 4, 4, rng)
         b = random_matrix(field, 4, 4, rng)
-        assert det(a.mul(b)) == field.mul(det(a), det(b))
+        assert det(a.mul(b)) == field.from_int(det(a) * det(b))
 
 
 # -- canonical column spaces --------------------------------------------------
@@ -411,7 +433,7 @@ def kernel_inputs(draw):
         # a multiple of an earlier row (zero when the factor is zero)
         if draw(st.booleans()):
             j, c = draw(st.integers(0, i - 1)), field.from_int(draw(st.integers(0, top)))
-            rows[i] = [field.mul(c, a) for a in rows[j]]
+            rows[i] = [field.from_int(c * a) for a in rows[j]]
     return field, rows
 
 
@@ -431,7 +453,7 @@ def test_packed_fields_never_carry(monkeypatch, p):
     for k in (0, 1, 2, 3, 7, 8, 12, 100, 10**4):
         assert 1 << field.pack_width(k) > p + k * (p - 1) ** 2
     widths = []
-    real_width, real_axpy = Field.pack_width, Field.packed_axpy
+    real_width, real_axpy = GF.pack_width, GF.packed_axpy
 
     def pack_width(self, k):
         widths.append(real_width(self, k))
@@ -446,8 +468,8 @@ def test_packed_fields_never_carry(monkeypatch, p):
             assert fy < p and fo == fx + c % p * fy < 1 << w
         return out
 
-    monkeypatch.setattr(Field, "pack_width", pack_width)
-    monkeypatch.setattr(Field, "packed_axpy", packed_axpy)
+    monkeypatch.setattr(GF, "pack_width", pack_width)
+    monkeypatch.setattr(GF, "packed_axpy", packed_axpy)
     # dense matrices of p - 1, and of 1 (every first update then adds
     # (p - 1) times a pivot row entry), with the diagonal shifted by one to
     # keep the rank full at every shape (p = 2 excepted)

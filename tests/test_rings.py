@@ -248,6 +248,10 @@ def test_poly_json_bad_terms_and_slice_json():
             GradedSlice.from_json(dict(slc, **bad))
     with pytest.raises(FormatError):
         GradedSlice.from_json({"alphabet": "Y"})
+    # each of nvars and degree within its cap, but not the monomials they span
+    for loader, doc in ((poly_from_json, good), (GradedSlice.from_json, slc)):
+        with pytest.raises(RangeError, match="41 variables in degree 41 span more than 903 monomials"):
+            loader(dict(doc, nvars=41, degree=41))
     with pytest.raises(FormatError):
         parse_poly(5, y_vars(), QQ)
 
