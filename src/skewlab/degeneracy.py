@@ -317,6 +317,120 @@ def _horner(coeffs, x, p):
     return acc
 
 
+# Univariate polynomials over F_p are coefficient lists by degree, with no
+# trailing zeros; the zero polynomial is the empty list.
+
+
+def _trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _sub(f, g, p):
+    n = max(len(f), len(g))
+    f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
+    return _trim([(a - b) % p for a, b in zip(f, g)])
+
+
+def _divmod(f, g, p):
+    """Quotient and remainder of f by a nonzero g."""
+    dg = len(g) - 1
+    r = list(f)
+    q = [0] * max(len(r) - dg, 0)
+    inv = pow(g[-1], -1, p)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + dg] * inv % p
+        q[i] = c
+        if c:
+            for j in range(dg):
+                r[i + j] = (r[i + j] - c * g[j]) % p
+    return q, _trim(r[:dg])
+
+
+def _mulmod(f, g, m, p):
+    """f * g mod m."""
+    if not f or not g:
+        return []
+    prod = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            prod[i + j] += a * b
+    return _divmod([c % p for c in prod], m, p)[1]
+
+
+def _powmod(f, e, m, p):
+    """f^e mod m, for m of positive degree, by repeated squaring."""
+    result = [1]
+    f = _divmod(f, m, p)[1]
+    while e:
+        if e & 1:
+            result = _mulmod(result, f, m, p)
+        e >>= 1
+        if e:
+            f = _mulmod(f, f, m, p)
+    return result
+
+
+def _gcd(f, g, p):
+    """The monic gcd of a nonzero f and any g."""
+    while g:
+        f, g = g, _divmod(f, g, p)[1]
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _split(g, p, rng):
+    """The roots of a monic g with distinct roots, all in F_p (Cantor-Zassenhaus).
+
+    For p = 2 the caller never passes a g of degree 2 or more: the only
+    such g is b^2 - b, which the caller treats as the whole line.
+    """
+    if len(g) <= 2:
+        return [-g[0] % p] if len(g) == 2 else []
+    while True:
+        w = _sub(_powmod([rng.below(p), 1], (p - 1) // 2, g, p), [1], p)
+        h = _gcd(g, w, p)
+        if 1 < len(h) < len(g):
+            return _split(h, p, rng) + _split(_divmod(g, h, p)[0], p, rng)
+
+
+def _line_roots(coeffs, p):
+    """The roots in F_p of sum coeffs[k] b^k, ascending.
+
+    The roots of f are those of g = gcd(f, b^p - b), with b^p mod f by
+    repeated squaring, and g splits by random shifts drawn from a stream
+    of fixed seed; sorting keeps the draws out of the result.  Costs
+    O(d^2 log p) for f of degree d.  A line on which f vanishes at every
+    point (f = 0 mod p, or g = b^p - b) returns every b.
+    """
+    f = _trim([c % p for c in coeffs])
+    if not f:
+        return range(p)
+    if len(f) == 1:
+        return []
+    g = _gcd(f, _sub(_powmod([0, 1], p, f, p), [0, 1], p), p)
+    if len(g) == p + 1:
+        return range(p)
+    return sorted(_split(g, p, SplitMix64(0)))
+
+
+def _curve_points(rows, line, last, p):
+    """The F_p points of the Pfaffian curve in chart order, with scan positions.
+
+    The position of a point is the number of chart points up to and
+    including it, in the order (1, a, b) for a, b in F_p, then (0, 1, b),
+    then (0, 0, 1).
+    """
+    for a in range(p):
+        for b in _line_roots([_horner(row, a, p) for row in rows], p):
+            yield (1, a, b), a * p + b + 1
+    for b in _line_roots(line, p):
+        yield (0, 1, b), p * p + b + 1
+    if last % p == 0:
+        yield (0, 0, 1), p * p + p + 1
+
+
 #: Points sampled on each kernel line of an even pencil's locus.
 LINE_SAMPLES = 3
 
@@ -324,12 +438,15 @@ LINE_SAMPLES = 3
 def even_scroll_sample(pencil: PolyMatrix, count: int) -> ScrollSample:
     """Sample the rank-drop locus of an even skew pencil over a prime field.
 
-    Scans the plane in a fixed chart order for points of the Pfaffian
-    curve, keeps those of corank exactly two, and samples
-    ``min(LINE_SAMPLES, p)`` points on each kernel line.  Every sample
-    must pass the incidence check.  ``NoPointsFound`` is raised only when
-    the full plane is exhausted without a single curve point of corank
-    two.
+    Visits the points of the Pfaffian curve in a fixed chart order, keeps
+    those of corank exactly two, and samples ``min(LINE_SAMPLES, p)``
+    points on each kernel line.  Every sample must pass the incidence
+    check.  The curve points of each chart line are the exact roots of
+    the Pfaffian's restriction, found in O(d^2 log p) for curve degree d
+    rather than by testing every point of F_p; ``scanned`` is the number
+    of chart points up to the last one visited.  ``NoPointsFound`` is
+    raised only when the full plane is exhausted without a single curve
+    point of corank two.
     """
     pm = skew_linear(pencil)
     n = pm.nrows
@@ -353,7 +470,6 @@ def even_scroll_sample(pencil: PolyMatrix, count: int) -> ScrollSample:
 
     points: list[ScrollPoint] = []
     skipped = 0
-    scanned = 0
 
     def visit(nu) -> bool:
         """Process one curve point; returns True when enough points."""
@@ -379,28 +495,11 @@ def even_scroll_sample(pencil: PolyMatrix, count: int) -> ScrollSample:
         )
         return len(points) >= count
 
-    done = False
-    for a in range(p):
-        if done:
+    scanned = p * p + p + 1
+    for nu, position in _curve_points(rows, line, last, p):
+        if visit(nu):
+            scanned = position
             break
-        coef_b = [_horner(rows[k], a, p) for k in range(d + 1)]
-        for b in range(p):
-            scanned += 1
-            if _horner(coef_b, b, p) == 0:
-                if visit((1, a, b)):
-                    done = True
-                    break
-    if not done:
-        for b in range(p):
-            scanned += 1
-            if _horner(line, b, p) == 0:
-                if visit((0, 1, b)):
-                    done = True
-                    break
-    if not done:
-        scanned += 1
-        if last % p == 0:
-            done = visit((0, 0, 1))
 
     if not points:
         raise NoPointsFound(
@@ -413,5 +512,5 @@ def even_scroll_sample(pencil: PolyMatrix, count: int) -> ScrollSample:
         points=points,
         skipped_corank=skipped,
         scanned=scanned,
-        exhausted=not done,
+        exhausted=len(points) < count,
     )

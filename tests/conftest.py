@@ -2,9 +2,11 @@
 
 Base fields, a pencil whose rank-drop locus is empty, the list
 Gauss-Jordan elimination with its determinant factor, which the tests
-use as the oracle for echelon forms and determinants, and small helpers
-built on the package: scalar Pfaffians, products with matrices, random
-scalar matrices, slice membership and Euler characteristics.
+use as the oracle for echelon forms and determinants, the point-by-point
+scan of the plane that is the oracle for even-order scroll sampling, and
+small helpers built on the package: scalar Pfaffians, products with
+matrices, random scalar matrices, slice membership and Euler
+characteristics.
 """
 
 import pytest
@@ -16,11 +18,16 @@ from skewlab import (
     HomogPoly,
     Matrix,
     PolyMatrix,
+    evaluate_matrix,
+    incidence_check,
+    kernel_basis,
     pfaffian_poly,
     rank,
     skew_linear,
     solve,
+    tensor_flip,
 )
+from skewlab.degeneracy import LINE_SAMPLES, ScrollPoint, ScrollSample
 from skewlab.randomness import random_scalar
 
 
@@ -70,6 +77,25 @@ def pointless_pencil():
     return norm_form_pencil()
 
 
+def diagonal_pencil(field, forms):
+    """Skew pencil with 2x2 diagonal blocks [[0, L], [-L, 0]], one per linear form L.
+
+    Each form is its three coefficients on y0, y1, y2.  The Pfaffian is
+    the product of the forms, and the corank at a point is twice the
+    number of forms vanishing there.
+    """
+    alpha = Alphabet("Y", 3)
+    n = 2 * len(forms)
+    zero = HomogPoly.zero(alpha, 1, field)
+    grid = [[zero] * n for _ in range(n)]
+    for i, coeffs in enumerate(forms):
+        terms = [(c, tuple(int(t == k) for t in range(3))) for k, c in enumerate(coeffs)]
+        form = HomogPoly.from_terms(alpha, 1, field, terms)
+        grid[2 * i][2 * i + 1] = form
+        grid[2 * i + 1][2 * i] = form.scale(-1)
+    return skew_linear(grid)
+
+
 # -- the list elimination oracle ------------------------------------------------
 
 
@@ -112,6 +138,52 @@ def rref_oracle(rows, field):
         if r == m:
             break
     return pivots, factor
+
+
+# -- the point-by-point scroll scan ---------------------------------------------
+
+
+def scan_oracle(pencil, count):
+    """The full scan that even-order sampling replaced, as a ``ScrollSample``.
+
+    Tests every point of the plane in chart order, (1, a, b) for a, b in
+    F_p, then (0, 1, b), then (0, 0, 1), against the Pfaffian, and counts
+    each tested point in ``scanned``.  Unlike ``even_scroll_sample`` it
+    returns a sample without points instead of raising ``NoPointsFound``.
+    """
+    pm = skew_linear(pencil)
+    field = pm.field
+    p = field.p
+    pf = pfaffian_poly(pm)
+    flipped = tensor_flip(pm)
+    chart = [(1, a, b) for a in range(p) for b in range(p)]
+    chart += [(0, 1, b) for b in range(p)] + [(0, 0, 1)]
+    points = []
+    skipped = 0
+    scanned = 0
+    for nu in chart:
+        if len(points) >= count:
+            break
+        scanned += 1
+        if pf.evaluate(nu) != field.zero:
+            continue
+        ker = kernel_basis(evaluate_matrix(pm, nu))
+        if ker.ncols != 2:
+            skipped += 1
+            continue
+        b1, b2 = ker.column(0), ker.column(1)
+        xs = [tuple(field.axpy(t, b1, b2)) for t in range(min(LINE_SAMPLES, p))]
+        ranks = [incidence_check(flipped, x).rank for x in xs]
+        points.append(ScrollPoint(nu=nu, kernel=(tuple(b1), tuple(b2)), x_samples=xs, incidence_ranks=ranks))
+    return ScrollSample(
+        n=pm.nrows,
+        p=p,
+        curve_degree=pf.degree,
+        points=points,
+        skipped_corank=skipped,
+        scanned=scanned,
+        exhausted=len(points) < count,
+    )
 
 
 def det(mat):

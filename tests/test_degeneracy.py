@@ -37,7 +37,9 @@ from skewlab.randomness import (
     random_skew_linear,
 )
 
-from conftest import det, norm_form_pencil
+from skewlab.degeneracy import _line_roots
+
+from conftest import det, diagonal_pencil, norm_form_pencil, scan_oracle
 
 
 def seeded_pencil(n, field, seed, m=3):
@@ -228,3 +230,103 @@ def test_pointless_curve_raises(pointless_pencil):
     assert not pf.is_zero() and pf.degree == 3
     with pytest.raises(NoPointsFound):
         even_scroll_sample(pointless_pencil, count=2)
+
+
+# -- roots on a chart line -------------------------------------------------------
+
+ROOT_PRIMES = (2, 3, 5, 7, 101)
+
+
+def brute_roots(coeffs, p):
+    return [b for b in range(p) if sum(c * b**k for k, c in enumerate(coeffs)) % p == 0]
+
+
+def poly_product(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def root_cases(p):
+    """Coefficient lists by degree, the corner cases first, then random ones."""
+    rng = SplitMix64(p)
+    yield []
+    yield [0, 0, 0]
+    yield [p, -2 * p, 5 * p]  # zero mod p
+    yield [1]
+    yield [p - 1, p, 0, 2 * p]  # a nonzero constant mod p
+    yield [1, 1, 1, p]  # leading coefficient 0 mod p
+    yield [0, 2, p, 3 * p]
+    repeated = [1]
+    for r in (1, 1, 1, 2 % p, 0, 0):  # (b - 1)^3 (b - 2) b^2
+        repeated = poly_product(repeated, [-r, 1])
+    yield repeated
+    frobenius = [0, -1] + [0] * (p - 2) + [1]  # b^p - b
+    yield frobenius
+    for _ in range(3):
+        cofactor = [rng.below(p) for _ in range(rng.randint(1, 4))]
+        yield poly_product(frobenius, cofactor)
+    for _ in range(60):
+        yield [rng.below(p) for _ in range(rng.randint(1, 21))]
+    for _ in range(20):  # many roots, so the splitting recurses
+        f = [rng.randint(1, p - 1)]
+        for _ in range(rng.randint(1, 20)):
+            f = poly_product(f, [-rng.below(p), 1])
+        yield f
+
+
+@pytest.mark.parametrize("p", ROOT_PRIMES)
+def test_line_roots_match_brute_force(p):
+    for coeffs in root_cases(p):
+        assert list(_line_roots(coeffs, p)) == brute_roots(coeffs, p), coeffs
+
+
+# -- the root finder against the point-by-point scan ------------------------------
+
+
+@pytest.mark.parametrize("p", ROOT_PRIMES)
+def test_even_scroll_matches_the_full_scan(p):
+    exhausted = 0
+    for n in (4, 6, 8):
+        for count in (1, 5):
+            for seed in range(5):
+                pm = seeded_pencil(n, GF(p), seed)
+                if pfaffian_poly(pm).is_zero():
+                    continue
+                want = scan_oracle(pm, count)
+                if not want.points:
+                    with pytest.raises(NoPointsFound):
+                        even_scroll_sample(pm, count)
+                    continue
+                assert even_scroll_sample(pm, count).to_json() == want.to_json()
+                exhausted += want.exhausted
+    if p < 101:
+        assert exhausted  # planes with too few points, scanned = p^2 + p + 1
+
+
+def test_full_scan_of_the_pointless_plane(pointless_pencil):
+    want = scan_oracle(pointless_pencil, 2)
+    assert want.exhausted and not want.points and want.scanned == 5 * 5 + 5 + 1
+    with pytest.raises(NoPointsFound):
+        even_scroll_sample(pointless_pencil, count=2)
+
+
+@pytest.mark.parametrize(
+    "p, forms",
+    [
+        # y1 divides the Pfaffian: the chart line a = 0 lies on the curve
+        (7, [(0, 1, 0), (1, 2, 3), (3, 1, 5)]),
+        (101, [(0, 1, 0), (1, 2, 3), (3, 1, 5)]),
+        # y0 divides it: chart two lies on the curve
+        (5, [(1, 0, 0), (1, 1, 1), (2, 0, 1)]),
+        # b (b + 1) divides every chart-one line over F_2 and F_3, (b + 2) too over F_3
+        (2, [(0, 0, 1), (1, 0, 1), (1, 1, 1)]),
+        (3, [(0, 0, 1), (1, 0, 1), (2, 0, 1)]),
+    ],
+)
+def test_even_scroll_on_a_line_component_matches_the_full_scan(p, forms):
+    pm = diagonal_pencil(GF(p), forms)
+    for count in (1, 3, p + 2, 3 * p):
+        assert even_scroll_sample(pm, count).to_json() == scan_oracle(pm, count).to_json()
