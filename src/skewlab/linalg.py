@@ -1,37 +1,42 @@
 """Exact dense linear algebra over QQ and F_p.
 
-Every row operation over F_p happens in one kernel, ``_rref_inplace``:
-Gauss-Jordan elimination that takes the first nonzero entry in scan
-order as pivot and returns the pivot columns.  ``rank``,
-``kernel_basis``, ``kernel_line``, ``solve`` and
-``column_space_canonical`` are thin wrappers over one reduced echelon
-form, ``_echelon``; ``kernel_line`` reduces only a prefix of the rows
-and checks the rest against the vector it finds.  Reduced
-echelon forms are fully normalized and kernel bases put a unit at their
-own free coordinate, so every result is canonical.  Matrices are dense
-lists of lists.  Inside the kernel the field holds each row in its
-packed form (``Field.pack``): the row update is ``Field.packed_axpy``,
-one big-integer multiply-add, and ``Matrix.mul`` adds rows with
-``Field.axpy``.  Only the field reads, reduces and tells apart scalars.
+Every row operation over F_p happens in one kernel, ``_forward``: forward
+elimination that takes the first nonzero entry in scan order as pivot,
+clears below each pivot only and returns the pivot columns, leaving a
+row echelon form.  ``rank`` reads the pivot count off it.  One back
+pass, ``_back``, turns the echelon rows into the free columns of the
+reduced echelon form, bottom-up; its other columns are known (a unit at
+each row's own pivot, zeros at the other pivots).  ``kernel_basis``,
+``kernel_line``, ``solve`` and ``column_space_canonical`` are thin
+wrappers over those free columns, ``_echelon``; ``kernel_line`` reduces
+only a prefix of the rows and checks the rest against the vector it
+finds.  Reduced echelon forms are fully normalized and kernel bases put
+a unit at their own free coordinate, so every result is canonical.
+Matrices are dense lists of lists.  Inside the kernel the field holds
+each row in its packed form (``Field.pack``): the row update is
+``Field.packed_axpy``, one big-integer multiply-add, and ``Matrix.mul``
+adds rows with ``Field.axpy``.  Only the field reads, reduces and tells
+apart scalars.
 
 Over QQ there is one elimination path, and it is multimodular.
-``_multimodular_rref`` clears each row's denominators, eliminates modulo
-primes between 2**60 and 2**61, combines the primes with the best
-(rank, pivots) by CRT, reconstructs the free columns as rationals and
-accepts the result only when it reproduces the integer rows exactly.  A
-Hadamard bound on the minors of the integer rows fixes how many primes
-that can take; past it the input has broken a proof, and
-``InternalError`` says so.
+``_multimodular_rref`` clears each row's denominators, runs the forward
+pass modulo primes between 2**60 and 2**61, combines the primes with the
+best (rank, pivots) by CRT, reconstructs the free columns of each
+prime's back pass as rationals and accepts the result only when it
+reproduces the integer rows exactly.  A Hadamard bound on the minors of
+the integer rows fixes how many primes that can take; past it the input
+has broken a proof, and ``InternalError`` says so.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from operator import mul
 from typing import Sequence
 
 from .errors import DegreeMismatch, InternalError, UsageError
-from .fields import QQ, Field, crt, integer_rows, modular_field, rational_vector
+from .fields import Field, crt, integer_rows, modular_field, rational_vector
 
 
 class Matrix:
@@ -122,11 +127,16 @@ class Matrix:
 # -- elimination core ----------------------------------------------------
 
 
-def _rref_inplace(rows: list[list], field: Field) -> list[int]:
-    """Reduce the F_p ``rows`` to reduced row echelon form in place; return the pivot columns.
+def _forward(rows: list[list], field: Field) -> list[int]:
+    """Reduce the F_p ``rows`` to row echelon form in place; return the pivot columns.
 
-    The field packs each row while it is reduced and unpacks it at the
-    end; the list items are replaced, and no row list is changed.
+    Each column's pivot is the first row at or below the current one with
+    a nonzero entry there.  Its row moves up, is scaled to a unit pivot
+    and clears that column in the rows below it only.  The field packs
+    the rows while they are reduced, and each pivot row is unpacked once,
+    when it is scaled.  ``rows`` ends as those r unpacked rows: unit
+    pivots, zeros left of each pivot and below it; the zero rows are
+    dropped.
     """
     pivots: list[int] = []
     m = len(rows)
@@ -145,34 +155,55 @@ def _rref_inplace(rows: list[list], field: Field) -> list[int]:
                 break
         else:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        rows[r] = prow = field.pack(field.unpack(rows[r], ncols, w, field.inv(piv)), w)
-        for i in range(m):
-            if i != r:
-                fac = entry(rows[i], c, w)
-                if fac:
-                    rows[i] = field.packed_axpy(-fac, rows[i], prow)
+        # rows r + 1 to pr, the swapped one included, are zero in column c
+        rows[pr], rows[r] = rows[r], field.unpack(rows[pr], ncols, w, field.inv(piv))
         pivots.append(c)
         r += 1
         if r == m:
             break
-    for i in range(m):
-        # every row below the last pivot row is zero
-        rows[i] = field.unpack(rows[i], ncols, w) if i < r else [field.zero] * ncols
+        prow = field.pack(rows[r - 1], w)
+        for i in range(pr + 1, m):
+            fac = entry(rows[i], c, w)
+            if fac:
+                rows[i] = field.packed_axpy(-fac, rows[i], prow)
+    del rows[r:]
     return pivots
 
 
-def _multimodular_rref(rows: list[list], ncols: int) -> tuple[list[int], list[list]]:
-    """Pivots P and nonzero rows of the reduced echelon form R of the QQ ``rows``.
+def _back(rows: list[list], pivots: list[int], ncols: int, field: Field) -> tuple[list[int], list[list]]:
+    """The free columns F and the columns R[:, F] of the reduced form of the echelon ``rows``.
+
+    R has a unit at each row's own pivot and zeros at the other pivots,
+    so only its free columns are computed, bottom-up.  In a free column
+    f, row i of R is 0 when the pivot of row i lies right of f; otherwise
+    it is rows[i][f] less rows[i] times the column's entries found so
+    far, set at their pivot columns.
+    """
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    zero, reduce = field.zero, field.from_int
+    cols = []
+    for f in free:
+        left = bisect_left(pivots, f)
+        x = [zero] * f
+        for i in range(left - 1, -1, -1):
+            row = rows[i]
+            x[pivots[i]] = reduce(row[f] - sum(map(mul, row, x)))
+        cols.append([x[pc] for pc in pivots[:left]] + [zero] * (len(pivots) - left))
+    return free, cols
+
+
+def _multimodular_rref(rows: list[list], ncols: int) -> tuple[list[int], list[int], list[list]]:
+    """Pivots P, free columns F and columns R[:, F] of the reduced echelon form R of the QQ ``rows``.
 
     The integer rows A (``integer_rows``) are reduced modulo the primes of
-    ``modular_field``.  Rank mod q is at most the rank over QQ, and a
-    prime that keeps the rank gives the QQ pivots or later ones, so the
-    best (rank, pivots) seen counts: the largest rank, then the
-    lexicographically first pivots.  A better prime restarts the CRT and
-    a worse one is skipped.  After each prime the free columns F of R are
-    reconstructed as rationals from the combined residues, and R is
+    ``modular_field`` by the forward pass.  Rank mod q is at most the rank
+    over QQ, and a prime that keeps the rank gives the QQ pivots or later
+    ones, so the best (rank, pivots) seen counts: the largest rank, then
+    the lexicographically first pivots.  A better prime restarts the CRT
+    and a worse one is skipped.  A prime that counts adds the residues of
+    the free columns F of R from its back pass; they are reconstructed
+    as rationals from the combined residues, and R is
     accepted when A[:, F] = A[:, P] R[:, F] holds over ZZ for its pivot
     columns P, each column scaled to integers.  That puts the row space
     of A inside the row space of R, so rank A <= |P|, and the prime gives
@@ -199,30 +230,22 @@ def _multimodular_rref(rows: list[list], ncols: int) -> tuple[list[int], list[li
     for i in range((2 * h + 1) // 60 + 1 + h // 60):
         fq = modular_field(i)
         red = list(ints)
-        pivots = _rref_inplace(red, fq)
+        pivots = _forward(red, fq)
         r = len(pivots)
         if best is None or r > len(best) or r == len(best) and pivots < best:
             # the first prime, or a better one: the primes kept so far were bad
-            pivot_set = set(pivots)
-            free = [c for c in range(ncols) if c not in pivot_set]
-            best, residues, modulus = pivots, [0] * (r * len(free)), 1
+            best, residues, modulus = pivots, [0] * (r * (ncols - r)), 1
         elif pivots != best:
             continue  # a lower rank or later pivots: q is a bad prime
-        vec = [row[c] for row in red[:r] for c in free]
+        free, cols = _back(red, pivots, ncols, fq)
+        vec = [a for col in cols for a in col]
         residues, modulus = crt(residues, modulus, vec, fq.p), modulus * fq.p
         values = rational_vector(residues, modulus)
         if values is None:
             continue
-        cols = [values[k :: len(free)] for k in range(len(free))]
+        cols = [values[k * r : (k + 1) * r] for k in range(len(free))]
         if _solves(ints, best, free, cols):
-            out = []
-            for k, pc in enumerate(best):
-                row = [QQ.zero] * ncols
-                row[pc] = QQ.one
-                for c, col in zip(free, cols):
-                    row[c] = col[k]
-                out.append(row)
-            return best, out
+            return best, free, cols
     raise InternalError(f"no verified echelon form within the Hadamard bound of {h} bits")
 
 
@@ -237,22 +260,27 @@ def _solves(ints: list[list[int]], pivots: list[int], free: list[int], cols: lis
     return True
 
 
-def _echelon(rows: list[list], field: Field, ncols: int) -> tuple[list[int], list[list]]:
-    """Pivot columns and nonzero rows of the reduced row echelon form of ``rows``.
+def _echelon(rows: list[list], field: Field, ncols: int) -> tuple[list[int], list[int], list[list]]:
+    """Pivot columns P, free columns F and columns R[:, F] of the reduced echelon form R of ``rows``.
 
-    Over QQ the multimodular form answers, over F_p the kernel.  The row
-    list is not changed.
+    Over QQ the multimodular form answers, over F_p the forward pass and
+    the back pass.  The row list is not changed.
     """
     if field.is_rational:
         return _multimodular_rref(rows, ncols)
     rows = list(rows)
-    pivots = _rref_inplace(rows, field)
-    return pivots, rows[: len(pivots)]
+    pivots = _forward(rows, field)
+    return (pivots, *_back(rows, pivots, ncols, field))
 
 
 def rank(mat: Matrix) -> int:
-    """The rank; over QQ a wide matrix is transposed, so that full rank has no free column."""
-    if mat.field.is_rational and mat.nrows < mat.ncols:
+    """The rank: over F_p the pivot count of the forward pass.
+
+    Over QQ a wide matrix is transposed, so that full rank has no free column.
+    """
+    if not mat.field.is_rational:
+        return len(_forward(list(mat.rows), mat.field))
+    if mat.nrows < mat.ncols:
         mat = mat.transpose()
     return len(_echelon(mat.rows, mat.field, mat.ncols)[0])
 
@@ -264,17 +292,15 @@ def kernel_basis(mat: Matrix) -> Matrix:
     at the other free coordinates, which makes the basis canonical.
     """
     field, ncols = mat.field, mat.ncols
-    pivots, rows = _echelon(mat.rows, field, ncols)
-    pivot_set = set(pivots)
-    cols = []
-    for fc in range(ncols):
-        if fc not in pivot_set:
-            v = [field.zero] * ncols
-            v[fc] = field.one
-            for row, pc in zip(rows, pivots):
-                v[pc] = field.from_int(-row[fc])
-            cols.append(v)
-    return Matrix.from_columns(field, cols, ncols)
+    pivots, free, cols = _echelon(mat.rows, field, ncols)
+    basis = []
+    for fc, col in zip(free, cols):
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for pc, a in zip(pivots, col):
+            v[pc] = field.from_int(-a)
+        basis.append(v)
+    return Matrix.from_columns(field, basis, ncols)
 
 
 def kernel_line(mat: Matrix, prefix: int) -> Matrix:
@@ -310,12 +336,12 @@ def solve(mat: Matrix, rhs: Sequence) -> list | None:
     if len(rhs) != mat.nrows:
         raise DegreeMismatch("right-hand side length mismatch")
     field, ncols = mat.field, mat.ncols
-    pivots, rows = _echelon([r + [b] for r, b in zip(mat.rows, rhs)], field, ncols + 1)
+    pivots, _, cols = _echelon([r + [b] for r, b in zip(mat.rows, rhs)], field, ncols + 1)
     if pivots and pivots[-1] == ncols:
         return None
     x = [field.zero] * ncols
-    for row, pc in zip(rows, pivots):
-        x[pc] = row[ncols]
+    for pc, a in zip(pivots, cols[-1]):
+        x[pc] = a
     return x
 
 
@@ -325,5 +351,10 @@ def column_space_canonical(mat: Matrix) -> Matrix:
     Unique for the subspace, so equality of results decides equality of
     column spans.
     """
-    _, rows = _echelon(mat.columns(), mat.field, mat.nrows)
-    return Matrix.from_columns(mat.field, rows, mat.nrows)
+    field = mat.field
+    pivots, free, cols = _echelon(mat.columns(), field, mat.nrows)
+    # row c of the result is column c of the reduced form R
+    out = dict(zip(free, cols))
+    for j, pc in enumerate(pivots):
+        out[pc] = [field.one if i == j else field.zero for i in range(len(pivots))]
+    return Matrix(field, [out[c] for c in range(mat.nrows)], len(pivots))

@@ -355,7 +355,7 @@ def parse_poly(
 
 
 def grading_from_json(obj: dict) -> tuple[Alphabet, int]:
-    """The alphabet and degree of a JSON polynomial, matrix or slice, each capped."""
+    """The alphabet and degree of a JSON polynomial or matrix, each capped."""
     alphabet = Alphabet(str(obj["alphabet"]), check_size(obj["nvars"], "nvars"))
     degree = check_size(obj["degree"], "degree")
     # their monomials too, before anything is built: no command reads more than a ternary form has
@@ -473,17 +473,6 @@ class GradedSlice:
             "field": self.field.to_json(),
             "basis": [format_poly(q) for q in self.basis_polys()],
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "GradedSlice":
-        try:
-            field = Field.from_json(obj["field"])
-            alphabet, degree = grading_from_json(obj)
-            cols = [list(parse_poly(t, alphabet, field, degree).coeffs) for t in obj["basis"]]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad slice JSON: {exc}") from exc
-        raw = Matrix.from_columns(field, cols, dim_homog(alphabet.nvars, degree))
-        return GradedSlice.from_matrix(alphabet, degree, field, raw)
 
 
 def slices_equal(a: GradedSlice, b: GradedSlice) -> bool:

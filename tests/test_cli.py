@@ -7,7 +7,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewlab import GF, InternalError, d_vars, parse_poly, poly_matrix_to_json, poly_to_json
@@ -624,8 +624,18 @@ def fuzz_cases(draw):
     return argv, source, edits, out
 
 
+def even_sample_at(p: str, n: int):
+    """A fuzz case: even-order ``sample`` over the prime ``p``, which the derandomized draws never reach."""
+    argv = ["sample", "--m", "3", "--n", str(n), "--field", "fp", "--p", p, "--seed", "1", "--trials", "3"]
+    return argv, None, [], None
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(fuzz_cases())
+@example(case=even_sample_at(LARGE_PRIMES[0], 6))
+@example(case=even_sample_at(LARGE_PRIMES[0], 8))
+@example(case=even_sample_at(LARGE_PRIMES[1], 6))
+@example(case=even_sample_at(LARGE_PRIMES[1], 8))
 def test_cli_fuzz_exits_cleanly(fuzz_dir, case):
     argv, source, edits, out = case
     argv = list(argv)

@@ -34,6 +34,7 @@ from skewlab import (
 )
 from skewlab import apolarity, cli, cohomology, correspond, degeneracy, fields, linalg, rings, skew
 from skewlab.fields import Field
+from skewlab.randomness import random_nondegenerate_dual_form
 
 from conftest import det, mul_vec, random_invertible, rref_oracle
 
@@ -48,6 +49,22 @@ def random_matrix(field, nrows, ncols, rng):
 
 def to_sympy(mat):
     return sympy.Matrix(mat.nrows, mat.ncols, lambda i, j: sympy.Rational(mat.rows[i][j]))
+
+
+def reduced_rows(echelon, field, ncols):
+    """Pivots and nonzero rows of the reduced echelon form R, from ``_echelon``'s pivots and free columns.
+
+    R has a unit at each row's own pivot and zeros at the other pivots;
+    its free columns are the given ones, in order, one entry per row.
+    """
+    pivots, free, cols = echelon
+    assert free == [c for c in range(ncols) if c not in pivots]
+    assert len(cols) == len(free) and all(len(col) == len(pivots) for col in cols)
+    rows = [[field.one if c == pc else field.zero for c in range(ncols)] for pc in pivots]
+    for c, col in zip(free, cols):
+        for row, a in zip(rows, col):
+            row[c] = a
+    return pivots, rows
 
 
 # -- fields ----------------------------------------------------------------
@@ -226,7 +243,7 @@ def test_rref_matches_sympy_over_qq():
     for nrows, ncols in ((3, 5), (4, 4), (5, 3), (6, 6)):
         for _ in range(4):
             a = random_matrix(QQ, nrows, ncols, rng)
-            pivots, rows = linalg._echelon(a.rows, QQ, a.ncols)
+            pivots, rows = reduced_rows(linalg._echelon(a.rows, QQ, a.ncols), QQ, a.ncols)
             want, want_pivots = to_sympy(a).rref()
             assert pivots == list(want_pivots)
             assert to_sympy(Matrix(QQ, rows, ncols)) == want[: len(pivots), :]
@@ -237,9 +254,9 @@ def test_rref_shape_fp():
     rng = SplitMix64(7)
     f = GF(101)
     a = random_matrix(f, 5, 7, rng)
-    pivots, rows = linalg._echelon(a.rows, f, a.ncols)
+    pivots, rows = reduced_rows(linalg._echelon(a.rows, f, a.ncols), f, a.ncols)
     assert pivots == sorted(pivots)
-    assert linalg._echelon(rows, f, a.ncols) == (pivots, rows)
+    assert reduced_rows(linalg._echelon(rows, f, a.ncols), f, a.ncols) == (pivots, rows)
     for i, pc in enumerate(pivots):
         assert rows[i][pc] == 1
         assert all(rows[k][pc] == 0 for k in range(len(rows)) if k != i)
@@ -255,8 +272,7 @@ def test_kernel_basis_properties():
             for col in ker.columns():
                 assert all(v == 0 for v in mul_vec(a, col))
             # each kernel column carries a unit at its own free coordinate
-            pivots, _ = linalg._echelon(a.rows, field, a.ncols)
-            free = [j for j in range(a.ncols) if j not in pivots]
+            _, free, _ = linalg._echelon(a.rows, field, a.ncols)
             assert len(free) == ker.ncols
             for idx, col in enumerate(ker.columns()):
                 assert col[free[idx]] == field.one
@@ -331,7 +347,7 @@ def test_solve_particular_and_inconsistent():
         x = solve(a, b)
         assert x is not None and mul_vec(a, x) == b
         # free coordinates of the returned solution are zero
-        pivots, _ = linalg._echelon(a.rows, field, a.ncols)
+        pivots = linalg._echelon(a.rows, field, a.ncols)[0]
         for j in range(a.ncols):
             if j not in pivots:
                 assert x[j] == field.zero
@@ -414,11 +430,22 @@ KERNEL_PRIMES = (2, 3, 5, 7, 101, 32003, 2**61 - 1)
 
 
 def assert_kernel_matches_oracle(field, rows):
+    ncols = len(rows[0]) if rows else 0
     got_rows, want_rows = [r[:] for r in rows], [r[:] for r in rows]
-    got = linalg._rref_inplace(got_rows, field)
+    got = linalg._forward(got_rows, field)
     want, _ = rref_oracle(want_rows, field)
     assert got == want
-    assert got_rows == want_rows
+    # the forward pass leaves the r rows of a row echelon form, reduced, with
+    # unit pivots and zeros left of each pivot and below it
+    assert len(got_rows) == len(got)
+    for i, (row, pc) in enumerate(zip(got_rows, got)):
+        assert len(row) == ncols and all(0 <= a < field.p for a in row)
+        assert row[pc] == 1 and not any(row[:pc])
+        assert all(below[pc] == 0 for below in got_rows[i + 1 :])
+    # the back pass turns them into the oracle's reduced rows, and the oracle's other rows are zero
+    echelon = (got, *linalg._back(got_rows, got, ncols, field))
+    assert reduced_rows(echelon, field, ncols) == (want, want_rows[: len(want)])
+    assert not any(map(any, want_rows[len(want) :]))
 
 
 @st.composite
@@ -452,7 +479,7 @@ def test_packed_fields_never_carry(monkeypatch, p):
     field = GF(p)
     for k in (0, 1, 2, 3, 7, 8, 12, 100, 10**4):
         assert 1 << field.pack_width(k) > p + k * (p - 1) ** 2
-    widths = []
+    widths, updates = [], []
     real_width, real_axpy = GF.pack_width, GF.packed_axpy
 
     def pack_width(self, k):
@@ -461,6 +488,7 @@ def test_packed_fields_never_carry(monkeypatch, p):
 
     def packed_axpy(self, c, x, y):
         w, mask = widths[-1], (1 << widths[-1]) - 1
+        updates.append(c)
         out = real_axpy(self, c, x, y)
         assert 0 < c % p < p
         for j in range(out.bit_length() // w + 1):
@@ -482,6 +510,8 @@ def test_packed_fields_never_carry(monkeypatch, p):
             assert_kernel_matches_oracle(field, rows)
             if p > 3:
                 assert len(pivots) == min(nrows, ncols)
+    # every row update of the kernel went through the checked packed_axpy
+    assert updates
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(32003), GF(2**61 - 1)], ids=repr)
@@ -495,6 +525,46 @@ def test_pack_unpack_round_trip(field):
             assert field.unpack(packed, ncols, w) == row
             for c in range(ncols):
                 assert field.entry(packed, c, w) == row[c]
+
+
+def test_an_fp_rank_runs_the_forward_pass_only(monkeypatch):
+    # rank reads the pivot count off the row echelon form; no reduced form is built
+    backs, real_back = [], linalg._back
+
+    def spy(rows, pivots, ncols, field):
+        backs.append(len(pivots))
+        return real_back(rows, pivots, ncols, field)
+
+    monkeypatch.setattr(linalg, "_back", spy)
+    calls = record_eliminations(monkeypatch)
+    field, rng = GF(32003), SplitMix64(41)
+    for nrows, ncols in ((4, 7), (7, 4), (5, 5)):
+        a = random_matrix(field, nrows, ncols, rng)
+        assert rank(a) == len(rref_oracle([r[:] for r in a.rows], field)[0])
+    target = random_nondegenerate_dual_form(6, field, rng)
+    assert apolarity.is_nondegenerate(target)
+    assert apolarity.hilbert_function(target) == (1, 3, 6, 10, 6, 3, 1)
+    assert len(calls) > 4 and backs == []
+    # the reduced form's callers do run the back pass, once per forward pass
+    calls.clear()
+    kernel_basis(random_matrix(field, 3, 5, rng))
+    assert len(calls) == 1 and backs == [len(calls[0][1])]
+
+
+def test_one_function_updates_packed_rows():
+    # one forward elimination loop: it is the one place that names packed_axpy
+    pkg = os.path.dirname(skewlab.__file__)
+    users = set()
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    for node in ast.walk(fn):
+                        if getattr(node, "attr", getattr(node, "id", None)) == "packed_axpy":
+                            users.add(f"{name[:-3]}.{getattr(fn, 'name', 'lambda')}")
+    assert users == {"linalg._forward"}
 
 
 # -- the multimodular QQ echelon form ---------------------------------------------
@@ -521,16 +591,16 @@ def oracle_kernel(mat):
 
 
 def record_eliminations(monkeypatch):
-    """The field and pivot columns of every elimination from here on."""
+    """The field and pivot columns of every forward pass from here on."""
     calls = []
-    real = linalg._rref_inplace
+    real = linalg._forward
 
     def recorded(rows, field):
         out = real(rows, field)
         calls.append((field, out))
         return out
 
-    monkeypatch.setattr(linalg, "_rref_inplace", recorded)
+    monkeypatch.setattr(linalg, "_forward", recorded)
     return calls
 
 
@@ -604,7 +674,8 @@ def rational_kernel_inputs(draw):
 def test_qq_kernel_matches_the_fraction_oracle(mat):
     assert kernel_basis(mat) == oracle_kernel(mat)
     # the kernel of every dimension is read off the multimodular echelon form
-    assert linalg._multimodular_rref(mat.rows, mat.ncols) == oracle_echelon(mat.rows)
+    echelon = linalg._multimodular_rref(mat.rows, mat.ncols)
+    assert reduced_rows(echelon, QQ, mat.ncols) == oracle_echelon(mat.rows)
 
 
 @st.composite
@@ -632,7 +703,7 @@ def test_qq_echelon_forms_match_the_fraction_oracle(mat):
         assert rank(mat) == len(pivots)
         assert column_space_canonical(mat) == Matrix.from_columns(QQ, col_rows, mat.nrows)
         assert kernel_basis(mat) == oracle_kernel(mat)
-        assert linalg._echelon(mat.rows, QQ, mat.ncols) == (pivots, rows)
+        assert reduced_rows(linalg._echelon(mat.rows, QQ, mat.ncols), QQ, mat.ncols) == (pivots, rows)
     # the primes answer every call within the bound, and no Fraction elimination runs
     assert calls and all(field != QQ for field, _ in calls)
     assert len(counts) == 4 and all(0 < used <= bound for bound, used in counts)

@@ -16,6 +16,7 @@ from skewlab import (
     FormatError,
     GradedSlice,
     HomogPoly,
+    PolyMatrix,
     RangeError,
     SplitMix64,
     UsageError,
@@ -26,6 +27,8 @@ from skewlab import (
     monomials,
     parse_poly,
     poly_from_json,
+    poly_matrix_from_json,
+    poly_matrix_to_json,
     poly_to_json,
     slice_of_products,
     slices_equal,
@@ -209,10 +212,14 @@ def test_slice_of_products_principal_ideal():
 
 
 def test_slice_json_roundtrip():
+    # a slice is written, never loaded: its basis texts parse back to the slice
     rng = SplitMix64(23)
     y = y_vars()
     slc = GradedSlice.from_polys([random_form(y, 2, GF(101), rng) for _ in range(2)])
-    assert GradedSlice.from_json(slc.to_json()) == slc
+    doc = slc.to_json()
+    assert (doc["alphabet"], doc["nvars"], doc["degree"], doc["field"]) == ("Y", 3, 2, GF(101).to_json())
+    basis = [parse_poly(text, y, GF(101), 2) for text in doc["basis"]]
+    assert basis == slc.basis_polys() and GradedSlice.from_polys(basis) == slc
 
 
 # Integer fields of the polynomial formats: a bool, a float or a string is
@@ -232,7 +239,7 @@ def test_poly_json_integer_fields_are_checked(value):
         poly_from_json(bad_exponent)
 
 
-def test_poly_json_bad_terms_and_slice_json():
+def test_poly_json_bad_terms_and_grading_caps():
     good = poly_to_json(parse_poly("d0^2", d_vars(), QQ))
     for terms in ([[1, [2, 0, 0], 5]], [[1]], [7], "d0"):
         with pytest.raises(FormatError):
@@ -242,14 +249,14 @@ def test_poly_json_bad_terms_and_slice_json():
         poly_from_json(dict(good, field={"kind": "fp", "p": 9}))
     with pytest.raises(DegreeMismatch):
         poly_from_json(dict(good, terms=[[1, [2, 0]]]))
-    slc = GradedSlice.from_polys([parse_poly("y0 + y1", y_vars(), QQ)]).to_json()
-    for bad in ({"nvars": "3"}, {"degree": 1.0}, {"basis": [1]}, {"basis": None}):
+    pencil = poly_matrix_to_json(PolyMatrix.from_entries([[parse_poly("y0 + y1", y_vars(), QQ)]]), "pencil")
+    for loader, doc in ((poly_from_json, good), (poly_matrix_from_json, pencil)):
+        for bad in ({"nvars": "3"}, {"degree": 1.0}):
+            with pytest.raises(FormatError):
+                loader(dict(doc, **bad))
         with pytest.raises(FormatError):
-            GradedSlice.from_json(dict(slc, **bad))
-    with pytest.raises(FormatError):
-        GradedSlice.from_json({"alphabet": "Y"})
-    # each of nvars and degree within its cap, but not the monomials they span
-    for loader, doc in ((poly_from_json, good), (GradedSlice.from_json, slc)):
+            loader({"alphabet": "Y"})
+        # each of nvars and degree within its cap, but not the monomials they span
         with pytest.raises(RangeError, match="41 variables in degree 41 span more than 903 monomials"):
             loader(dict(doc, nvars=41, degree=41))
     with pytest.raises(FormatError):
