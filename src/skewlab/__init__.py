@@ -31,9 +31,9 @@ from .errors import (
 from .fields import GF, QQ, Field, is_prime
 from .linalg import (
     Matrix,
-    column_space_canonical,
     kernel_basis,
     rank,
+    row_space_canonical,
     solve,
 )
 from .rings import (
@@ -48,7 +48,6 @@ from .rings import (
     parse_poly,
     poly_from_json,
     poly_to_json,
-    slice_of_products,
     slices_equal,
     x_vars,
     y_vars,

@@ -87,7 +87,7 @@ def perp_slice(target: HomogPoly, op_degree: int) -> GradedSlice:
     if op_degree > target.degree:
         return GradedSlice.full(dual, op_degree, target.field)
     ker = kernel_basis(pairing_matrix(target, op_degree))
-    return GradedSlice.from_matrix(dual, op_degree, target.field, ker)
+    return GradedSlice(dual, op_degree, target.field, ker)
 
 
 def partials_slice(target: HomogPoly, op_degree: int) -> GradedSlice:
@@ -100,9 +100,9 @@ def partials_slice(target: HomogPoly, op_degree: int) -> GradedSlice:
     if op_degree < 0:
         raise UsageError("negative derivative order")
     if op_degree > target.degree:
-        return GradedSlice.empty(target.alphabet, 0, field)
-    mat = pairing_matrix(target, op_degree)
-    return GradedSlice.from_matrix(target.alphabet, target.degree - op_degree, field, mat)
+        return GradedSlice(target.alphabet, 0, field, [])
+    derivatives = pairing_matrix(target, op_degree).transpose().rows
+    return GradedSlice(target.alphabet, target.degree - op_degree, field, derivatives)
 
 
 def catalecticant_rank(target: HomogPoly) -> int:
@@ -164,9 +164,9 @@ def dual_socle_generator(gens: Sequence[HomogPoly], k: int) -> HomogPoly:
     # fewer than n_cols - 1 rows leave at least a plane, so no shorter prefix can give a line
     prefix = next((b for b in bounds if b >= n_cols - 1), len(rows))
     ker = kernel_line(Matrix(field, rows, n_cols), prefix)
-    if ker.ncols != 1:
+    if len(ker) != 1:
         raise NotGorensteinSocle(
-            f"joint annihilator in degree {k} has dimension {ker.ncols}, expected 1"
+            f"joint annihilator in degree {k} has dimension {len(ker)}, expected 1"
         )
-    poly = HomogPoly(alphabet.dual(), k, field, ker.column(0))
+    poly = HomogPoly(alphabet.dual(), k, field, ker[0])
     return poly.leading_normalized()

@@ -74,6 +74,7 @@ def _require_three_base_variables(args) -> None:
 
 
 def _config_stanza(args, field: Field) -> dict:
+    """The flags of a run and the field it computed over: an ``--in`` file's own field."""
     out = {"field": field.to_json()}
     for key in ("m", "n", "seed", "trials"):
         val = getattr(args, key, None)
@@ -155,11 +156,7 @@ def cmd_correspond(args) -> dict:
     field = _field_from_args(args)
     _require_seed_or_input(args)
     _require_three_base_variables(args)
-    payload: dict = {
-        "command": "correspond",
-        "direction": args.direction,
-        "config": _config_stanza(args, field),
-    }
+    payload: dict = {"command": "correspond", "direction": args.direction}
     if args.seed is not None and args.infile is None:
         payload["rng"] = describe(args.seed)
 
@@ -171,6 +168,7 @@ def cmd_correspond(args) -> dict:
                 raise UsageError("need --n to generate an instance")
             pm = _seeded_skew(args, field, 3)
         form, cert = matrix_to_form(pm)
+        payload["config"] = _config_stanza(args, pm.field)
         payload["matrix"] = poly_matrix_to_json(pm, "skew-linear")
         payload["form"] = poly_to_json(form)
         payload["certificate"] = cert.to_json()
@@ -181,6 +179,7 @@ def cmd_correspond(args) -> dict:
     else:
         form = _seeded_dual_form(args, field)
     pm, cert = form_to_matrix(form)
+    payload["config"] = _config_stanza(args, form.field)
     payload["form"] = poly_to_json(form)
     payload["matrix"] = poly_matrix_to_json(pm, "skew-linear")
     payload["certificate"] = cert.to_json()
@@ -201,7 +200,7 @@ def cmd_project(args) -> dict:
     target = mirror(datum.g).leading_normalized()
     payload = {
         "command": "project",
-        "config": _config_stanza(args, field),
+        "config": _config_stanza(args, g.field),
         "projection": datum.to_json(),
         "pencil": poly_matrix_to_json(pencil, "skew-linear"),
         "basis_change": a_mat.to_json(),
@@ -214,13 +213,14 @@ def cmd_project(args) -> dict:
 
 
 def cmd_sample(args) -> dict:
-    field = _field_from_args(args)
+    flag_field = _field_from_args(args)
     _require_seed_or_input(args)
     if args.trials < 1:
         raise RangeError(f"--trials must be at least 1, got {args.trials}")
     if args.trials > MAX_TRIALS:
         raise RangeError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
-    pm = _input_or_seeded_skew(args, field)
+    pm = _input_or_seeded_skew(args, flag_field)
+    field = pm.field
     n = pm.nrows
     count = args.trials
     payload: dict = {

@@ -22,8 +22,8 @@ from .errors import (
     SyzygyDefect,
 )
 from .fields import Field
-from .linalg import Matrix, kernel_basis, kernel_line
-from .rings import GradedSlice, HomogPoly, dim_homog, mono_index, slice_of_products, slices_equal
+from .linalg import Matrix, kernel_basis, kernel_line, rank
+from .rings import GradedSlice, HomogPoly, dim_homog, mono_index, slices_equal
 from .skew import PolyMatrix, skew_linear, sub_pfaffians
 
 
@@ -93,7 +93,7 @@ def _build_certificate(
         # it one degree up, where h gives its dimension: equal dimensions
         # mean ann generates it there.  The key name is kept, since
         # certificates are compared byte for byte.
-        "perp_full_above_degree": slice_of_products(ann, gen_deg + 1).dim
+        "perp_full_above_degree": rank(_times_linear(ann.basis_polys()))
         == dim_homog(3, gen_deg + 1) - (h[gen_deg + 1] if gen_deg < k else 0),
     }
     return Certificate(
@@ -139,22 +139,23 @@ def matrix_to_form(pencil: PolyMatrix) -> tuple[HomogPoly, Certificate]:
     return form, cert
 
 
-def _linear_syzygies(gens: list[HomogPoly], n: int) -> Matrix:
-    """Basis of linear syzygies sum_i l_i g_i = 0, one column per syzygy.
+def _times_linear(gens: list[HomogPoly]) -> Matrix:
+    """The products g_i y_k as columns over the monomials one degree up, column 3*i + k.
 
-    Coordinates are row-major over (generator, variable): entry 3*i + k
-    is the y_k coefficient of l_i.
+    Its rank is the dimension of the span of the products, and its kernel
+    is the space of linear syzygies sum_i l_i g_i = 0, with entry 3*i + k
+    the y_k coefficient of l_i.
     """
-    field = gens[0].field
+    field, width = gens[0].field, 3 * len(gens)
     idx = mono_index(3, gens[0].degree + 1)
-    mat = [[field.zero] * (3 * n) for _ in range(len(idx))]
+    mat = [[field.zero] * width for _ in range(len(idx))]
     for i, g in enumerate(gens):
         for c, a in g.terms():
             for k in range(3):
                 b = list(a)
                 b[k] += 1
                 mat[idx[tuple(b)]][3 * i + k] = c
-    return kernel_basis(Matrix(field, mat, 3 * n))
+    return Matrix(field, mat, width)
 
 
 def _skew_combinations(layers: list[Matrix], n: int, field: Field) -> list:
@@ -174,7 +175,7 @@ def _skew_combinations(layers: list[Matrix], n: int, field: Field) -> list:
     """
     rows = []
     for t in layers:
-        ck = t.columns()
+        ck = t.transpose().rows
         for i in range(n):
             for j in range(i, n):
                 row = [field.zero] * (n * n)
@@ -182,11 +183,11 @@ def _skew_combinations(layers: list[Matrix], n: int, field: Field) -> list:
                 row[j * n : (j + 1) * n] = ck[i]
                 rows.append(row)
     q_space = kernel_line(Matrix(field, rows, n * n), n * n + n)
-    if q_space.ncols != 1:
+    if len(q_space) != 1:
         raise SkewNormalizationFailure(
-            f"skew solution space has dimension {q_space.ncols}, expected 1"
+            f"skew solution space has dimension {len(q_space)}, expected 1"
         )
-    return q_space.column(0)
+    return q_space[0]
 
 
 def form_to_matrix(form: HomogPoly) -> tuple[PolyMatrix, Certificate]:
@@ -219,15 +220,14 @@ def form_to_matrix(form: HomogPoly) -> tuple[PolyMatrix, Certificate]:
         raise DegenerateForm(
             f"annihilator in degree {gen_deg} has dimension {ann.dim}, expected {n}"
         )
-    gens = ann.basis_polys()
 
-    syz = _linear_syzygies(gens, n)
-    if syz.ncols != n:
+    syz = kernel_basis(_times_linear(ann.basis_polys()))
+    if len(syz) != n:
         raise SyzygyDefect(
-            f"linear syzygy space has dimension {syz.ncols}, expected {n}"
+            f"linear syzygy space has dimension {len(syz)}, expected {n}"
         )
-    # T[s][j] = sum_k syz[3j + k][s] y_k, so row j of T_k^T is syz row 3j + k
-    layers = [Matrix(field, syz.rows[k::3], n).transpose() for k in range(3)]
+    # T[s][j] = sum_k syz[s][3j + k] y_k, so row s of T_k is syz[s][k::3]
+    layers = [Matrix(field, [v[k::3] for v in syz], n) for k in range(3)]
     vec = _skew_combinations(layers, n, field)
     q = Matrix(field, [vec[r * n : (r + 1) * n] for r in range(n)], n)
     products = [q.mul(t).rows for t in layers]

@@ -230,7 +230,7 @@ def veronese_projection(g: HomogPoly) -> ProjectionDatum:
             f"annihilator has dimension {complement.dim}, expected {n}"
         )
     full = dim_homog(3, half)
-    direct = center.sum(complement).dim == full
+    direct = rank(Matrix(g.field, center.basis + complement.basis, full)) == full
     if not direct:
         raise DegenerateG("center and annihilator do not span the full system")
     return ProjectionDatum(
@@ -476,11 +476,10 @@ def even_scroll_sample(pencil: PolyMatrix, count: int) -> ScrollSample:
         nonlocal skipped
         mat = evaluate_matrix(pm, nu)
         ker = kernel_basis(mat)
-        if ker.ncols != 2:
+        if len(ker) != 2:
             skipped += 1
             return False
-        b1 = ker.column(0)
-        b2 = ker.column(1)
+        b1, b2 = ker
         xs = []
         ranks = []
         for t in range(per_point):

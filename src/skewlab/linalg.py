@@ -7,16 +7,18 @@ row echelon form.  ``rank`` reads the pivot count off it.  One back
 pass, ``_back``, turns the echelon rows into the free columns of the
 reduced echelon form, bottom-up; its other columns are known (a unit at
 each row's own pivot, zeros at the other pivots).  ``kernel_basis``,
-``kernel_line``, ``solve`` and ``column_space_canonical`` are thin
+``kernel_line``, ``solve`` and ``row_space_canonical`` are thin
 wrappers over those free columns, ``_echelon``; ``kernel_line`` reduces
 only a prefix of the rows and checks the rest against the vector it
 finds.  Reduced echelon forms are fully normalized and kernel bases put
 a unit at their own free coordinate, so every result is canonical.
-Matrices are dense lists of lists.  Inside the kernel the field holds
-each row in its packed form (``Field.pack``): the row update is
-``Field.packed_axpy``, one big-integer multiply-add, and ``Matrix.mul``
-adds rows with ``Field.axpy``.  Only the field reads, reduces and tells
-apart scalars.
+Matrices are dense lists of lists, and a subspace is a list of its
+basis vectors: ``kernel_basis`` and ``kernel_line`` return the kernel
+that way, and ``row_space_canonical`` the nonzero rows of the reduced
+echelon form.  Inside the kernel the field holds each row in its packed
+form (``Field.pack``): the row update is ``Field.packed_axpy``, one
+big-integer multiply-add, and ``Matrix.mul`` adds rows with
+``Field.axpy``.  Only the field reads, reduces and tells apart scalars.
 
 Over QQ there is one elimination path, and it is multimodular.
 ``_multimodular_rref`` clears each row's denominators, runs the forward
@@ -71,16 +73,8 @@ class Matrix:
             raise UsageError("column length mismatch")
         return cls(field, [[c[i] for c in cols] for i in range(nrows)], len(cols))
 
-    # -- access ----------------------------------------------------------
-
-    def column(self, j: int) -> list:
-        return [r[j] for r in self.rows]
-
-    def columns(self) -> list[list]:
-        return [self.column(j) for j in range(self.ncols)]
-
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)], self.nrows)
+        return Matrix.from_columns(self.field, self.rows, self.ncols)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -285,8 +279,8 @@ def rank(mat: Matrix) -> int:
     return len(_echelon(mat.rows, mat.field, mat.ncols)[0])
 
 
-def kernel_basis(mat: Matrix) -> Matrix:
-    """Basis of the right kernel, as columns of a ``ncols x k`` matrix.
+def kernel_basis(mat: Matrix) -> list[list]:
+    """Basis of the right kernel, a list of vectors of length ``ncols``.
 
     Each basis vector carries a unit at its own free coordinate and zeros
     at the other free coordinates, which makes the basis canonical.
@@ -300,10 +294,10 @@ def kernel_basis(mat: Matrix) -> Matrix:
         for pc, a in zip(pivots, col):
             v[pc] = field.from_int(-a)
         basis.append(v)
-    return Matrix.from_columns(field, basis, ncols)
+    return basis
 
 
-def kernel_line(mat: Matrix, prefix: int) -> Matrix:
+def kernel_line(mat: Matrix, prefix: int) -> list[list]:
     """``kernel_basis(mat)``, eliminating only the first ``prefix`` rows if that gives at most a line.
 
     The kernel of ``mat`` lies inside the kernel of its first ``prefix``
@@ -315,15 +309,15 @@ def kernel_line(mat: Matrix, prefix: int) -> Matrix:
     """
     field, ncols = mat.field, mat.ncols
     ker = kernel_basis(Matrix(field, mat.rows[:prefix], ncols))
-    if ker.ncols > 1 and prefix < mat.nrows:
+    if len(ker) > 1 and prefix < mat.nrows:
         return kernel_basis(mat)
-    if ker.ncols == 1:
-        v, rest = ker.column(0), mat.rows[prefix:]
+    if len(ker) == 1:
+        v, rest = ker[0], mat.rows[prefix:]
         if field.is_rational:
             # rescaled to integers, the rows and v check without Fraction arithmetic
             (v,), rest = integer_rows([v]), integer_rows(rest)
         if any(field.from_int(sum(map(mul, row, v))) for row in rest):
-            return Matrix.from_columns(field, [], ncols)
+            return []
     return ker
 
 
@@ -345,16 +339,18 @@ def solve(mat: Matrix, rhs: Sequence) -> list | None:
     return x
 
 
-def column_space_canonical(mat: Matrix) -> Matrix:
-    """Canonical basis of the column space (reduced column echelon form).
+def row_space_canonical(mat: Matrix) -> list[list]:
+    """Canonical basis of the row space: the nonzero rows of the reduced echelon form.
 
     Unique for the subspace, so equality of results decides equality of
-    column spans.
+    row spans.
     """
-    field = mat.field
-    pivots, free, cols = _echelon(mat.columns(), field, mat.nrows)
-    # row c of the result is column c of the reduced form R
-    out = dict(zip(free, cols))
-    for j, pc in enumerate(pivots):
-        out[pc] = [field.one if i == j else field.zero for i in range(len(pivots))]
-    return Matrix(field, [out[c] for c in range(mat.nrows)], len(pivots))
+    field, ncols = mat.field, mat.ncols
+    pivots, free, cols = _echelon(mat.rows, field, ncols)
+    basis = [[field.zero] * ncols for _ in pivots]
+    for row, pc in zip(basis, pivots):
+        row[pc] = field.one
+    for fc, col in zip(free, cols):
+        for row, a in zip(basis, col):
+            row[fc] = a
+    return basis

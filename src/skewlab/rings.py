@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatch, DegreeMismatch, FormatError, RangeError, SkewlabError, UsageError
 from .fields import MAX_ORDER, Field, check_size, json_int
-from .linalg import Matrix, column_space_canonical
+from .linalg import Matrix, row_space_canonical
 
 _PREFIX = {"Y": "y", "D": "d", "X": "x"}
 
@@ -397,20 +397,22 @@ def poly_from_json(obj: dict) -> HomogPoly:
 class GradedSlice:
     """A subspace of one homogeneous piece, stored canonically.
 
-    The basis matrix has the monomial coefficients as columns in reduced
-    column echelon form, so two slices are equal as subspaces exactly
-    when their matrices are equal.
+    ``basis`` is a list of coefficient vectors over the monomial basis:
+    the nonzero rows of the reduced echelon form of any spanning set
+    (``row_space_canonical``), so two slices are equal as subspaces
+    exactly when their bases are equal, and ``dim`` is their count.
     """
 
-    __slots__ = ("alphabet", "degree", "field", "matrix")
+    __slots__ = ("alphabet", "degree", "field", "basis")
 
-    def __init__(self, alphabet: Alphabet, degree: int, field: Field, matrix: Matrix):
-        if matrix.nrows != dim_homog(alphabet.nvars, degree):
-            raise DegreeMismatch("slice matrix has wrong ambient dimension")
+    def __init__(self, alphabet: Alphabet, degree: int, field: Field, vectors: Sequence[Sequence]):
+        amb = dim_homog(alphabet.nvars, degree)
+        if any(len(v) != amb for v in vectors):
+            raise DegreeMismatch("slice vector has wrong ambient dimension")
         self.alphabet = alphabet
         self.degree = degree
         self.field = field
-        self.matrix = matrix
+        self.basis = row_space_canonical(Matrix(field, vectors, amb))
 
     @classmethod
     def from_polys(cls, polys: Sequence[HomogPoly]) -> "GradedSlice":
@@ -418,40 +420,19 @@ class GradedSlice:
         first = polys[0]
         for q in polys[1:]:
             first._check_compatible(q, same_degree=True)
-        amb = dim_homog(first.alphabet.nvars, first.degree)
-        raw = Matrix.from_columns(first.field, [list(q.coeffs) for q in polys], amb)
-        return cls(first.alphabet, first.degree, first.field, column_space_canonical(raw))
-
-    @classmethod
-    def from_matrix(cls, alphabet: Alphabet, degree: int, field: Field, raw: Matrix) -> "GradedSlice":
-        return cls(alphabet, degree, field, column_space_canonical(raw))
-
-    @classmethod
-    def empty(cls, alphabet: Alphabet, degree: int, field: Field) -> "GradedSlice":
-        amb = dim_homog(alphabet.nvars, degree)
-        return cls(alphabet, degree, field, Matrix(field, [[] for _ in range(amb)], 0))
+        return cls(first.alphabet, first.degree, first.field, [q.coeffs for q in polys])
 
     @classmethod
     def full(cls, alphabet: Alphabet, degree: int, field: Field) -> "GradedSlice":
         amb = dim_homog(alphabet.nvars, degree)
-        return cls(alphabet, degree, field, Matrix.identity(field, amb))
+        return cls(alphabet, degree, field, Matrix.identity(field, amb).rows)
 
     @property
     def dim(self) -> int:
-        return self.matrix.ncols
+        return len(self.basis)
 
     def basis_polys(self) -> list[HomogPoly]:
-        return [
-            HomogPoly(self.alphabet, self.degree, self.field, self.matrix.column(j))
-            for j in range(self.matrix.ncols)
-        ]
-
-    def sum(self, other: "GradedSlice") -> "GradedSlice":
-        if (self.alphabet, self.degree, self.field) != (other.alphabet, other.degree, other.field):
-            raise UsageError("slice sum over mismatched gradings")
-        cols = self.matrix.columns() + other.matrix.columns()
-        raw = Matrix.from_columns(self.field, cols, self.matrix.nrows)
-        return GradedSlice(self.alphabet, self.degree, self.field, column_space_canonical(raw))
+        return [HomogPoly(self.alphabet, self.degree, self.field, v) for v in self.basis]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -459,7 +440,7 @@ class GradedSlice:
             and other.alphabet == self.alphabet
             and other.degree == self.degree
             and other.field == self.field
-            and other.matrix == self.matrix
+            and other.basis == self.basis
         )
 
     def __repr__(self) -> str:
@@ -479,26 +460,4 @@ def slices_equal(a: GradedSlice, b: GradedSlice) -> bool:
     """Subspace equality (same grading required)."""
     if (a.alphabet, a.degree, a.field) != (b.alphabet, b.degree, b.field):
         raise UsageError("comparing slices of different gradings")
-    return a.matrix == b.matrix
-
-
-def slice_of_products(slc: GradedSlice, target_degree: int) -> GradedSlice:
-    """The slice spanned by (basis) x (all monomials of the gap degree).
-
-    A target degree strictly below the slice degree yields the zero
-    slice by convention.
-    """
-    if target_degree < slc.degree:
-        return GradedSlice.empty(slc.alphabet, target_degree, slc.field)
-    if target_degree == slc.degree:
-        return slc
-    gap = target_degree - slc.degree
-    field = slc.field
-    prods = []
-    for q in slc.basis_polys():
-        for expo in monomials(slc.alphabet.nvars, gap):
-            mono = HomogPoly.from_terms(slc.alphabet, gap, field, [(field.one, expo)])
-            prods.append(q * mono)
-    if not prods:
-        return GradedSlice.empty(slc.alphabet, target_degree, field)
-    return GradedSlice.from_polys(prods)
+    return a.basis == b.basis

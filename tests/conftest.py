@@ -24,7 +24,6 @@ from skewlab import (
     pfaffian_poly,
     rank,
     skew_linear,
-    solve,
     tensor_flip,
 )
 from skewlab.degeneracy import LINE_SAMPLES, ScrollPoint, ScrollSample
@@ -168,10 +167,10 @@ def scan_oracle(pencil, count):
         if pf.evaluate(nu) != field.zero:
             continue
         ker = kernel_basis(evaluate_matrix(pm, nu))
-        if ker.ncols != 2:
+        if len(ker) != 2:
             skipped += 1
             continue
-        b1, b2 = ker.column(0), ker.column(1)
+        b1, b2 = ker
         xs = [tuple(field.axpy(t, b1, b2)) for t in range(min(LINE_SAMPLES, p))]
         ranks = [incidence_check(flipped, x).rank for x in xs]
         points.append(ScrollPoint(nu=nu, kernel=(tuple(b1), tuple(b2)), x_samples=xs, incidence_ranks=ranks))
@@ -255,7 +254,7 @@ def contains(slc, poly):
     """True when ``poly`` lies in the graded slice ``slc``."""
     if (poly.alphabet, poly.degree) != (slc.alphabet, slc.degree):
         return False
-    return solve(slc.matrix, list(poly.coeffs)) is not None
+    return rank(Matrix(slc.field, slc.basis + [poly.coeffs])) == slc.dim
 
 
 def variable(alphabet, i, field):

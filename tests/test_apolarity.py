@@ -19,7 +19,6 @@ from skewlab import (
     SplitMix64,
     apolar_rank,
     catalecticant_rank,
-    column_space_canonical,
     d_vars,
     dim_homog,
     dual_socle_generator,
@@ -33,6 +32,7 @@ from skewlab import (
     partials_slice,
     parse_poly,
     perp_slice,
+    row_space_canonical,
     y_vars,
 )
 from skewlab.randomness import random_form, random_nondegenerate_dual_form
@@ -280,7 +280,7 @@ def test_action_matrices_match_monomial_oracle(field, k):
         want = oracle_matrix(field, [(target.coeffs, d, "b")], k)
         assert pairing_matrix(target, d) == want
         if d <= k:
-            assert partials_slice(target, d).matrix == column_space_canonical(want)
+            assert partials_slice(target, d).basis == row_space_canonical(want.transpose())
         else:
             empty = partials_slice(target, d)
             assert (empty.alphabet, empty.degree, empty.dim) == (d_vars(), 0, 0)
@@ -296,9 +296,9 @@ def test_dual_socle_generator_matches_monomial_oracle(field, k):
     for gens in (annihilator, quadrics, quadrics[:1] + annihilator):
         blocks = [(g.coeffs, g.degree, "a") for g in gens]
         ker = kernel_basis(oracle_matrix(field, blocks, k))
-        if ker.ncols == 1:
+        if len(ker) == 1:
             lines += 1
-            want = HomogPoly(d_vars(), k, field, ker.column(0)).leading_normalized()
+            want = HomogPoly(d_vars(), k, field, ker[0]).leading_normalized()
             assert dual_socle_generator(gens, k) == want
         else:
             with pytest.raises(NotGorensteinSocle):

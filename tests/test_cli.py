@@ -104,6 +104,52 @@ def test_sample_command_even(tmp_path):
     assert len(doc["sample"]["points"]) == 3
 
 
+# -- the config of an --in run names the field of the input file -----------------
+
+
+def input_file(tmp_path, key, *argv):
+    """The ``key`` document of a seeded run, written to a file; returns its path."""
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps(run_json(tmp_path, *argv)[key]))
+    return str(path)
+
+
+F101 = {"kind": "fp", "p": 101}
+FIELD_FLAGS = pytest.mark.parametrize("flags", [(), ("--field", "q")], ids=["p-default", "field-q"])
+
+
+@FIELD_FLAGS
+def test_correspond_config_names_the_field_of_the_input(tmp_path, flags):
+    seeded = ("--n", "7", "--seed", "2", "--p", "101")
+    pencil = input_file(tmp_path, "matrix", "correspond", "from-matrix", *seeded)
+    form = input_file(tmp_path, "form", "correspond", "from-form", *seeded)
+    for direction, path in (("from-matrix", pencil), ("from-form", form)):
+        doc = run_json(tmp_path, "correspond", direction, "--in", path, *flags)
+        assert doc["config"] == {"field": F101, "trials": 20}
+
+
+@FIELD_FLAGS
+def test_project_config_names_the_field_of_the_input(tmp_path, flags):
+    doc = run_json(tmp_path, "project", "--n", "7", "--seed", "5", "--p", "101")
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc["projection"]["g"]))
+    again = run_json(tmp_path, "project", "--in", str(path), *flags)
+    assert again["config"] == {"field": F101, "trials": 20}
+    assert again["projection"] == doc["projection"]
+
+
+def test_sample_config_names_the_field_of_the_input(tmp_path):
+    even = input_file(tmp_path, "matrix", "random", "--m", "3", "--n", "6", "--seed", "2", "--p", "101")
+    doc = run_json(tmp_path, "sample", "--in", even, "--field", "q", "--trials", "3")
+    assert doc["config"] == {"field": F101, "trials": 3}
+    assert doc["mode"] == "even-scroll" and len(doc["sample"]["points"]) == 3
+    # an odd pencil over QQ, sampled with the default --field fp, prints its rational points
+    odd = input_file(tmp_path, "matrix", "random", "--m", "3", "--n", "5", "--seed", "2", "--field", "q")
+    doc = run_json(tmp_path, "sample", "--in", odd, "--seed", "1", "--trials", "2")
+    assert doc["config"] == {"field": {"kind": "q"}, "seed": 1, "trials": 2}
+    assert doc["all_ok"] and len(doc["points"]) == 2
+
+
 def test_cohomology_single(tmp_path):
     doc = run_json(tmp_path, "cohomology", "--m", "3", "--n", "8")
     assert doc["tables"]["omega"][0] == 86

@@ -116,7 +116,7 @@ def test_incidence_with_four_columns_tests_each_minor_by_rank(field):
     flipped = tensor_flip(pm)
     assert (flipped.nrows, flipped.ncols) == (7, 4)
     rng = SplitMix64(501)
-    x = kernel_basis(evaluate_matrix(pm, random_point(4, field, rng))).column(0)
+    x = kernel_basis(evaluate_matrix(pm, random_point(4, field, rng)))[0]
     res = incidence_check(flipped, x)
     assert res.ok and res.rank <= 3 and res.minors_zero
     assert res.n_minors == math.comb(7, 4)

@@ -26,10 +26,10 @@ from skewlab import (
     RangeError,
     SplitMix64,
     UsageError,
-    column_space_canonical,
     is_prime,
     kernel_basis,
     rank,
+    row_space_canonical,
     solve,
 )
 from skewlab import apolarity, cli, cohomology, correspond, degeneracy, fields, linalg, rings, skew
@@ -268,15 +268,15 @@ def test_kernel_basis_properties():
         for _ in range(6):
             a = random_matrix(field, 4, 6, rng)
             ker = kernel_basis(a)
-            assert ker.ncols == a.ncols - rank(a)
-            for col in ker.columns():
-                assert all(v == 0 for v in mul_vec(a, col))
-            # each kernel column carries a unit at its own free coordinate
+            assert len(ker) == a.ncols - rank(a)
+            for vec in ker:
+                assert all(v == 0 for v in mul_vec(a, vec))
+            # each kernel vector carries a unit at its own free coordinate
             _, free, _ = linalg._echelon(a.rows, field, a.ncols)
-            assert len(free) == ker.ncols
-            for idx, col in enumerate(ker.columns()):
-                assert col[free[idx]] == field.one
-                assert all(col[f] == field.zero for k, f in enumerate(free) if k != idx)
+            assert len(free) == len(ker)
+            for idx, vec in enumerate(ker):
+                assert vec[free[idx]] == field.one
+                assert all(vec[f] == field.zero for k, f in enumerate(free) if k != idx)
 
 
 def test_kernel_spans_sympy_nullspace():
@@ -284,11 +284,9 @@ def test_kernel_spans_sympy_nullspace():
     a = random_matrix(QQ, 5, 8, rng)
     ours = kernel_basis(a)
     theirs = to_sympy(a).nullspace()
-    assert ours.ncols == len(theirs)
-    stacked = [list(c) for c in ours.columns()]
-    stacked += [[Fraction(v.p, v.q) for v in col] for col in theirs]
-    joint = Matrix.from_columns(QQ, stacked, a.ncols)
-    assert rank(joint) == ours.ncols
+    assert len(ours) == len(theirs)
+    stacked = ours + [[Fraction(v.p, v.q) for v in col] for col in theirs]
+    assert rank(Matrix(QQ, stacked, a.ncols)) == len(ours)
 
 
 #: Prefixes with kernel zero, the line (1, 2, 3, 1), and a plane around that line.
@@ -321,7 +319,7 @@ def test_kernel_line_matches_kernel_basis_on_each_exit(monkeypatch, field, case)
 
     monkeypatch.setattr(linalg, "_echelon", spy)
     assert linalg.kernel_line(mat, len(head)) == want
-    assert want.ncols == dim
+    assert len(want) == dim
     # the prefix is eliminated first, and only a prefix kernel above a line reduces every row
     assert calls == [len(head), mat.nrows][:eliminations]
 
@@ -390,15 +388,15 @@ def test_det_multiplicative():
         assert det(a.mul(b)) == field.from_int(det(a) * det(b))
 
 
-# -- canonical column spaces --------------------------------------------------
+# -- canonical row spaces -----------------------------------------------------
 
 
-def test_column_space_canonical_is_basis_independent():
+def test_row_space_canonical_is_basis_independent():
     rng = SplitMix64(60)
     for field in (QQ, GF(32003)):
-        a = random_matrix(field, 6, 3, rng)
+        a = random_matrix(field, 3, 6, rng)
         p = random_invertible(3, field, rng)
-        assert column_space_canonical(a) == column_space_canonical(a.mul(p))
+        assert row_space_canonical(a) == row_space_canonical(p.mul(a))
 
 
 # -- properties ---------------------------------------------------------------
@@ -580,14 +578,14 @@ def oracle_echelon(rows):
 def oracle_kernel(mat):
     """The QQ kernel from Fraction Gauss-Jordan (``rref_oracle``), canonical basis."""
     pivots, rows = oracle_echelon(mat.rows)
-    cols = []
+    basis = []
     for fc in (c for c in range(mat.ncols) if c not in pivots):
         v = [QQ.zero] * mat.ncols
         v[fc] = QQ.one
         for i, pc in enumerate(pivots):
             v[pc] = -rows[i][fc]
-        cols.append(v)
-    return Matrix.from_columns(QQ, cols, mat.ncols)
+        basis.append(v)
+    return basis
 
 
 def record_eliminations(monkeypatch):
@@ -696,12 +694,12 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_qq_echelon_forms_match_the_fraction_oracle(mat):
     pivots, rows = oracle_echelon(mat.rows)
-    _, col_rows = oracle_echelon(mat.columns())
+    _, col_rows = oracle_echelon(mat.transpose().rows)
     with pytest.MonkeyPatch.context() as mp:
         calls = record_eliminations(mp)
         counts = record_prime_counts(mp, calls)
         assert rank(mat) == len(pivots)
-        assert column_space_canonical(mat) == Matrix.from_columns(QQ, col_rows, mat.nrows)
+        assert row_space_canonical(mat.transpose()) == col_rows
         assert kernel_basis(mat) == oracle_kernel(mat)
         assert reduced_rows(linalg._echelon(mat.rows, QQ, mat.ncols), QQ, mat.ncols) == (pivots, rows)
     # the primes answer every call within the bound, and no Fraction elimination runs
@@ -740,7 +738,7 @@ def test_a_prime_dividing_the_last_coordinate_is_dropped(monkeypatch, index):
     calls = record_eliminations(monkeypatch)
     ker = kernel_basis(mat)
     assert ker == oracle_kernel(mat)
-    assert ker.column(0) == [Fraction(a, 3 * q) for a in w]
+    assert ker == [[Fraction(a, 3 * q) for a in w]]
     # mod q the kernel vector ends a coordinate early; the other primes see
     # its true end, three of them reconstruct it, and no Fraction
     # elimination runs
@@ -784,7 +782,7 @@ def test_a_bad_prime_restarts_the_crt_or_is_skipped(monkeypatch, build, bad, ind
     assert [p for _, p in calls] == [bad if i == index else pivots for i in range(len(calls))]
     calls.clear()
     assert rank(mat) == 3
-    assert column_space_canonical(mat.transpose()) == Matrix.from_columns(QQ, rows, mat.ncols)
+    assert row_space_canonical(mat) == rows
     assert all(f != QQ for f, _ in calls)
 
 

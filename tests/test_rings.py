@@ -30,14 +30,13 @@ from skewlab import (
     poly_matrix_from_json,
     poly_matrix_to_json,
     poly_to_json,
-    slice_of_products,
     slices_equal,
     x_vars,
     y_vars,
 )
 from skewlab.randomness import random_form
 
-from conftest import contains, variable
+from conftest import contains, rref_oracle, variable
 
 
 def test_alphabets():
@@ -173,7 +172,10 @@ def test_slice_canonical_under_generator_changes():
     shuffled = [polys[2].scale(Fraction(5)), polys[0], polys[1] + polys[2]]
     b = GradedSlice.from_polys(shuffled)
     assert a == b and slices_equal(a, b)
-    assert a.dim == 3 and a.matrix.nrows == 6
+    assert a.dim == 3 and all(len(v) == 6 for v in a.basis)
+    # a vector of another length is not in the degree-2 piece
+    with pytest.raises(DegreeMismatch):
+        GradedSlice(y, 2, QQ, a.basis + [[QQ.one] * 5])
 
 
 def test_slice_contains_and_sum():
@@ -184,12 +186,10 @@ def test_slice_contains_and_sum():
     a = GradedSlice.from_polys([y0])
     b = GradedSlice.from_polys([y1])
     assert contains(a, y0.scale(Fraction(4)))
-    assert not contains(a, y1)
-    assert a.sum(b).dim == 2
-    assert not contains(a.sum(b), y2)
+    assert not contains(a, y1) and not contains(b, y0)
     full = GradedSlice.full(y, 1, QQ)
     assert full.dim == 3 and contains(full, y2)
-    assert GradedSlice.empty(y, 1, QQ).dim == 0
+    assert GradedSlice(y, 1, QQ, []).dim == 0
 
 
 def test_slices_equal_requires_same_grading():
@@ -200,15 +200,40 @@ def test_slices_equal_requires_same_grading():
         slices_equal(a, b)
 
 
-def test_slice_of_products_principal_ideal():
-    # multiples of y0 in degree 3: everything divisible by y0
-    y = y_vars()
-    gen = GradedSlice.from_polys([variable(y, 0, QQ)])
-    cube = slice_of_products(gen, 3)
-    assert cube.dim == dim_homog(3, 3) - dim_homog(2, 3)
-    assert cube.degree == 3
-    below = slice_of_products(gen, 0)
-    assert below.dim == 0
+@st.composite
+def spanning_sets(draw, field):
+    """Polynomials of one grading over ``field``: drawn ones, then combinations of them, in a drawn order.
+
+    The grading has 2 to 10 monomials, so most slices have several basis
+    vectors, and the combinations make some rows dependent.
+    """
+    alphabet = y_vars(draw(st.integers(2, 3)))
+    degree = draw(st.integers(1, 3))
+    amb = dim_homog(alphabet.nvars, degree)
+    scalar = st.builds(lambda a, b: field.from_int(Fraction(a, b)), st.integers(-50, 50), st.integers(1, 9))
+    if not field.is_rational:
+        scalar = st.integers(0, field.p - 1)
+    drawn = [[draw(scalar) for _ in range(amb)] for _ in range(draw(st.integers(1, amb)))]
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = [draw(st.integers(-4, 4)) for _ in drawn]
+        drawn.append([field.from_int(sum(c * v[j] for c, v in zip(coeffs, drawn))) for j in range(amb)])
+    return [HomogPoly(alphabet, degree, field, v) for v in draw(st.permutations(drawn))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spanning_sets(QQ))
+def test_slice_basis_is_sympy_rref_over_qq(polys):
+    rref = sympy.Matrix([[sympy.Rational(c) for c in q.coeffs] for q in polys]).rref()[0]
+    rows = [[Fraction(int(a.p), int(a.q)) for a in rref.row(i)] for i in range(rref.rows)]
+    assert GradedSlice.from_polys(polys).basis == [row for row in rows if any(row)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spanning_sets(GF(32003)))
+def test_slice_basis_is_the_rref_oracle_over_fp(polys):
+    rows = [list(q.coeffs) for q in polys]
+    pivots, _ = rref_oracle(rows, GF(32003))
+    assert GradedSlice.from_polys(polys).basis == rows[: len(pivots)]
 
 
 def test_slice_json_roundtrip():
@@ -261,20 +286,3 @@ def test_poly_json_bad_terms_and_grading_caps():
             loader(dict(doc, nvars=41, degree=41))
     with pytest.raises(FormatError):
         parse_poly(5, y_vars(), QQ)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.integers(-6, 6), min_size=6, max_size=6), st.lists(st.integers(-6, 6), min_size=6, max_size=6))
-def test_slice_sum_monotone(avec, bvec):
-    y = y_vars()
-    a = HomogPoly(y, 2, QQ, [Fraction(v) for v in avec])
-    b = HomogPoly(y, 2, QQ, [Fraction(v) for v in bvec])
-    sa = GradedSlice.from_polys([a])
-    sb = GradedSlice.from_polys([b])
-    total = sa.sum(sb)
-    assert total.dim <= sa.dim + sb.dim
-    assert total.dim >= max(sa.dim, sb.dim)
-    if not a.is_zero():
-        assert contains(total, a)
-    if not b.is_zero():
-        assert contains(total, b + a.scale(Fraction(3)))
