@@ -7,7 +7,9 @@ kernel short exact sequences and chases dimensions through the long
 exact sequences.  The chase never guesses a connecting-map rank; where
 the data does not force a value it returns an interval, and symbolic
 cancellation between stages still recovers exact answers in the cases
-where colliding terms cancel.
+where colliding terms cancel.  A dimension the data forces is a plain
+``int``; an ``AffineForm`` appears only where a rank variable is left,
+so every chase entry is an ``int | AffineForm``.
 """
 
 from __future__ import annotations
@@ -154,48 +156,52 @@ def koszul_term_cohomology(m: int, n: int, r: int, twist: str) -> tuple[int, ...
 
 
 class AffineForm:
-    """Integer constant plus an integer combination of named variables."""
+    """An integer combination of rank variables plus an integer constant.
+
+    A form holds at least one variable: a constant is a plain ``int``,
+    and arithmetic returns an ``int`` once every variable cancels.
+    """
 
     __slots__ = ("const", "coeffs")
 
-    def __init__(self, const: int = 0, coeffs: dict[str, int] | None = None):
+    def __init__(self, const: int, coeffs: dict[str, int]):
         self.const = const
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v != 0}
-
-    @classmethod
-    def of(cls, value) -> "AffineForm":
-        return value if isinstance(value, AffineForm) else cls(int(value))
+        self.coeffs = coeffs
 
     @classmethod
     def var(cls, name: str) -> "AffineForm":
         return cls(0, {name: 1})
 
-    def __add__(self, other) -> "AffineForm":
-        other = AffineForm.of(other)
+    def __add__(self, other) -> "int | AffineForm":
+        if not isinstance(other, AffineForm):
+            return AffineForm(self.const + other, self.coeffs)
         coeffs = dict(self.coeffs)
         for k, v in other.coeffs.items():
             coeffs[k] = coeffs.get(k, 0) + v
-        return AffineForm(self.const + other.const, coeffs)
+        coeffs = {k: v for k, v in coeffs.items() if v != 0}
+        const = self.const + other.const
+        return AffineForm(const, coeffs) if coeffs else const
 
     __radd__ = __add__
 
     def __neg__(self) -> "AffineForm":
         return AffineForm(-self.const, {k: -v for k, v in self.coeffs.items()})
 
-    def __sub__(self, other) -> "AffineForm":
-        return self + (-AffineForm.of(other))
+    def __sub__(self, other) -> "int | AffineForm":
+        return self + -other
 
     def __rsub__(self, other) -> "AffineForm":
-        return AffineForm.of(other) + (-self)
+        return -self + other
 
     def __eq__(self, other) -> bool:
-        other = AffineForm.of(other)
-        return self.const == other.const and self.coeffs == other.coeffs
+        return (
+            isinstance(other, AffineForm)
+            and self.const == other.const
+            and self.coeffs == other.coeffs
+        )
 
     def __str__(self) -> str:
-        parts = []
-        if self.const or not self.coeffs:
-            parts.append(str(self.const))
+        parts = [str(self.const)] if self.const else []
         for name in sorted(self.coeffs, key=lambda s: (len(s), s)):
             c = self.coeffs[name]
             term = name if abs(c) == 1 else f"{abs(c)}*{name}"
@@ -212,34 +218,35 @@ class ChaseContext:
     """Bound bookkeeping for the rank variables created during a chase.
 
     Each variable is the rank of a connecting map, known only through
-    affine lower and upper bounds.  When a lower bound coincides with an
-    upper bound the variable is never created: the bound itself is
-    returned, which is what lets colliding terms cancel symbolically at
-    later stages.  A bound involves only variables created earlier, so a
-    variable's box is final when it is created.  Bounds are integers,
-    and ``None`` stands for an unbounded side.
+    affine lower and upper bounds, each an ``int`` or an ``AffineForm``.
+    When a lower bound coincides with an upper bound the variable is
+    never created: the bound itself is returned, which is what lets
+    colliding terms cancel symbolically at later stages.  A bound
+    involves only variables created earlier, so a variable's box is
+    final when it is created.  Box ends are integers, and ``None``
+    stands for an unbounded side.
     """
 
     def __init__(self):
         self._box: dict[str, tuple] = {}
 
-    def new_rank_var(self, lo_forms: list, hi_forms: list) -> AffineForm:
-        lo = [AffineForm.of(f) for f in lo_forms]
-        hi = [AffineForm.of(f) for f in hi_forms]
-        for l_form in lo:
-            for h_form in hi:
+    def new_rank_var(self, lo_forms: list, hi_forms: list) -> int | AffineForm:
+        for l_form in lo_forms:
+            for h_form in hi_forms:
                 if l_form == h_form:
                     return l_form
         name = f"v{len(self._box)}"
-        lows = [b for b in (self._span(f)[0] for f in lo) if b is not None]
-        highs = [b for b in (self._span(f)[1] for f in hi) if b is not None]
+        lows = [b for b in (self._span(f)[0] for f in lo_forms) if b is not None]
+        highs = [b for b in (self._span(f)[1] for f in hi_forms) if b is not None]
         box = (max([0, *lows]), min(highs) if highs else None)
         if box[1] is not None and box[0] > box[1]:
             raise InternalError(f"infeasible chase bounds for {name}")
         self._box[name] = box
         return AffineForm.var(name)
 
-    def _span(self, form: AffineForm) -> tuple:
+    def _span(self, form: int | AffineForm) -> tuple:
+        if not isinstance(form, AffineForm):
+            return form, form
         lo = hi = form.const
         for name, c in form.coeffs.items():
             ends = [None if b is None else c * b for b in self._box[name]]
@@ -249,49 +256,53 @@ class ChaseContext:
             hi = None if hi is None or ends[1] is None else hi + ends[1]
         return lo, hi
 
-    def interval(self, form) -> tuple[int, int]:
-        lo, hi = self._span(AffineForm.of(form))
+    def interval(self, form: int | AffineForm) -> tuple[int, int]:
+        lo, hi = self._span(form)
         if lo is None or hi is None:
             raise InternalError("unbounded chase interval")
-        return int(lo), int(hi)
+        return lo, hi
 
 
-def slot3(a_forms: list, b_ints: Sequence[int], ctx: ChaseContext) -> list[AffineForm]:
+def slot3(
+    a_forms: Sequence, b_ints: Sequence[int], ctx: ChaseContext
+) -> list[int | AffineForm]:
     """Cohomology of C in 0 -> A -> B -> C -> 0 with A affine, B known.
 
-    From the long exact sequence, C^i = B^i - A^i + s_{i-1} + s_i with
-    s_i the rank of the connecting map C^i -> A^{i+1}, bounded by
+    Each entry of A and of the result is an ``int`` or, where a rank
+    variable is left in it, an ``AffineForm``.  From the long exact
+    sequence, C^i = B^i - A^i + s_{i-1} + s_i with s_i the rank of the
+    connecting map C^i -> A^{i+1}, bounded by
     max(0, A^{i+1} - B^{i+1}) <= s_i <= A^{i+1}.
     """
     length = len(b_ints)
-    a = [AffineForm.of(f) for f in a_forms]
-    if len(a) != length:
+    if len(a_forms) != length:
         raise InternalError("mismatched vector lengths in chase")
-    zero = AffineForm(0)
     out = []
-    s_prev = zero
+    s_prev = 0
     for i in range(length):
-        a_next = a[i + 1] if i + 1 < length else zero
+        a_next = a_forms[i + 1] if i + 1 < length else 0
         b_next = b_ints[i + 1] if i + 1 < length else 0
-        s_i = ctx.new_rank_var([zero, a_next - b_next], [a_next])
-        out.append(b_ints[i] - a[i] + s_prev + s_i)
+        s_i = ctx.new_rank_var([0, a_next - b_next], [a_next])
+        out.append(b_ints[i] - a_forms[i] + s_prev + s_i)
         s_prev = s_i
     return out
 
 
 def peel_exact_complex(
     terms: Sequence[Sequence[int]], ctx: ChaseContext, trace: list
-) -> list[AffineForm]:
+) -> list[int | AffineForm]:
     """Cohomology of the augmentation target of an exact complex.
 
     For 0 -> T_L -> ... -> T_1 -> T_0 -> F -> 0 with known term
     cohomology, peels kernel sequences 0 -> K_j -> T_j -> K_{j-1} -> 0
-    from the left and returns the affine cohomology vector of F.
+    from the left and returns the cohomology vector of F: an ``int``
+    where the chase forces the value, an ``AffineForm`` where a rank
+    variable is left.
     """
     if not terms:
         raise RangeError("empty complex")
     last = len(terms) - 1
-    kernel = [AffineForm.of(c) for c in terms[last]]
+    kernel = list(terms[last])
     trace.append(f"K{last - 1} = [{', '.join(str(f) for f in kernel)}]")
     for j in range(last - 1, 0, -1):
         kernel = slot3(kernel, terms[j], ctx)
@@ -470,8 +481,7 @@ def h0F(m: int, n: int) -> H0FResult:
     tables = closed_form_tables(m, n)
     ctx = ChaseContext()
     trace: list[str] = []
-    a_forms = [AffineForm.of(c) for c in tables["structure"]]
-    b_forms = slot3(a_forms, tables["twist"], ctx)
+    b_forms = slot3(tables["structure"], tables["twist"], ctx)
     trace.append(f"B = [{', '.join(str(f) for f in b_forms)}]")
     f_forms = slot3(b_forms, tables["omega"], ctx)
     trace.append(f"F = [{', '.join(str(f) for f in f_forms)}]")

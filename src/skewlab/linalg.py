@@ -171,7 +171,8 @@ def _back(rows: list[list], pivots: list[int], ncols: int, field: Field) -> tupl
     so only its free columns are computed, bottom-up.  In a free column
     f, row i of R is 0 when the pivot of row i lies right of f; otherwise
     it is rows[i][f] less rows[i] times the column's entries found so
-    far, set at their pivot columns.
+    far, set at their pivot columns.  Those entries all lie right of
+    row i's pivot, so the product runs over the columns from there to f.
     """
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -181,8 +182,8 @@ def _back(rows: list[list], pivots: list[int], ncols: int, field: Field) -> tupl
         left = bisect_left(pivots, f)
         x = [zero] * f
         for i in range(left - 1, -1, -1):
-            row = rows[i]
-            x[pivots[i]] = reduce(row[f] - sum(map(mul, row, x)))
+            row, s = rows[i], pivots[i]
+            x[s] = reduce(row[f] - sum(map(mul, row[s + 1 : f], x[s + 1 : f])))
         cols.append([x[pc] for pc in pivots[:left]] + [zero] * (len(pivots) - left))
     return free, cols
 

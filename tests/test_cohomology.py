@@ -140,10 +140,62 @@ def test_affine_form_algebra():
     y = AffineForm.var("y")
     f = 2 + x - y + 3
     assert f.const == 5 and f.coeffs == {"x": 1, "y": -1}
-    assert not (x - x).coeffs and (x - x).const == 0
     assert x + y == y + x
-    assert not AffineForm.of(7).coeffs
     assert str(x - y + 1) in ("1 + x - y", "1 - y + x")
+
+
+def test_affine_form_mixes_with_ints():
+    x = AffineForm.var("x")
+    y = AffineForm.var("y")
+    g = 3 - x
+    assert isinstance(g, AffineForm) and g.const == 3 and g.coeffs == {"x": -1}
+    assert str(g) == "3 - x"
+    assert x + 0 == x and 0 + x == x and x - 0 == x
+    # once every variable cancels the result is a plain int
+    assert type(x - x) is int and x - x == 0
+    assert type(x + y + 4 - y - x) is int and x + y + 4 - y - x == 4
+    # a form with a variable never equals a constant
+    assert x != 0 and 0 != x and x + 2 != 2
+    assert str(7 + x) == str(x + 7) == "7 + x"
+
+
+def test_chase_context_on_int_bounds():
+    ctx = ChaseContext()
+    # a forced rank is returned as the int itself, and no variable is made
+    got = ctx.new_rank_var([0, 2], [2])
+    assert type(got) is int and got == 2
+    assert ctx.interval(5) == (5, 5)
+    fresh = ctx.new_rank_var([0, 1], [4])
+    assert str(fresh) == "v0" and ctx.interval(fresh) == (1, 4)
+    assert ctx.interval(3 - fresh) == (-1, 2)
+
+
+def test_grid_chase_builds_forms_only_for_rank_variables(monkeypatch):
+    import skewlab.cohomology as cohomology_module
+
+    built = []
+    init = AffineForm.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    entries = []
+    inner = cohomology_module.slot3
+
+    def spy(a_forms, b_ints, ctx):
+        out = inner(a_forms, b_ints, ctx)
+        entries.extend(out)
+        return out
+
+    monkeypatch.setattr(AffineForm, "__init__", counting_init)
+    monkeypatch.setattr(cohomology_module, "slot3", spy)
+    grid_rows()
+    # one form per chase entry would be 173,982 forms for this grid
+    assert len(built) < 1000
+    assert len(entries) > 20000
+    for f in entries:
+        assert type(f) is int or (type(f) is AffineForm and f.coeffs), f
 
 
 def test_chase_context_substitutes_forced_variables():
@@ -167,9 +219,10 @@ def test_chase_context_detects_infeasible():
 def test_slot3_exact_sequence_arithmetic():
     # 0 -> A -> B -> C -> 0 with A = (1,0), B = (3,2,0): forced C = (2,2,0)
     ctx = ChaseContext()
-    a_forms = [AffineForm.of(1), AffineForm.of(0), AffineForm.of(0)]
-    c_forms = slot3(a_forms, (3, 2, 0), ctx)
+    c_forms = slot3([1, 0, 0], (3, 2, 0), ctx)
     assert [ctx.interval(f) for f in c_forms] == [(2, 2), (2, 2), (0, 0)]
+    # forced entries of int inputs come back as ints
+    assert c_forms == [2, 2, 0] and all(type(f) is int for f in c_forms)
 
 
 def test_koszul_chase_trivial_complex():

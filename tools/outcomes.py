@@ -8,10 +8,12 @@ Usage, from anywhere:
 
 The manifest is fixed, and every case is a pure function of its inputs:
 
-* ``cli``: 131 CLI invocations: ``correspond`` both ways at odd
+* ``cli``: 175 CLI invocations: ``correspond`` both ways at odd
   n = 5..13 over F_32003, F_5 and F_7 and at n = 5, 7, 9 over QQ, seeds 1
-  and 2; ``project``, ``sample``, ``cohomology``, ``ledger`` and
-  ``random`` over several fields; three usage errors.  Each records the
+  and 2; ``project``, ``sample`` and ``random`` over several fields;
+  ``cohomology`` at every grid row 2 < m < n - 1 <= 12 and the grid
+  itself; ``ledger`` at (4, 8) and at the corners (3, 10000),
+  (4, 10000) and (9997, 10000) of its cap; three usage errors.  Each records the
   exit code and the sha256 of stdout and of stderr.
 * ``fp-forms``: ``form_to_matrix`` of ``random_form(d_vars(), n - 3,
   GF(p), SplitMix64(seed))`` for p in 7, 11, 13, 17, 101 with seeds
@@ -52,7 +54,7 @@ PFAFFIAN_PRIMES = (None, 2, 3, 5, 7, 32003)
 
 
 def cli_cases() -> list[list[str]]:
-    """The 131 CLI invocations."""
+    """The 175 CLI invocations."""
     cases = []
     for field in (["--p", "32003"], ["--p", "5"], ["--p", "7"], ["--field", "q"]):
         orders = (5, 7, 9) if field[0] == "--field" else (5, 7, 9, 11, 13)
@@ -70,10 +72,12 @@ def cli_cases() -> list[list[str]]:
         for n in ("7", "6"):
             cases.append(["sample", "--m", "3", "--n", n, *field, "--seed", "1", "--trials", "3"])
     cases.append(["sample", "--m", "4", "--n", "7", "--seed", "1", "--trials", "3"])
-    for m, n in ((3, 5), (3, 6), (4, 7), (4, 8)):
-        cases.append(["cohomology", "--m", str(m), "--n", str(n)])
+    for n in range(5, 14):
+        for m in range(3, n - 1):
+            cases.append(["cohomology", "--m", str(m), "--n", str(n)])
     cases += [["cohomology", "--grid"], ["cohomology", "--grid", "--csv"], ["cohomology", "--csv"]]
-    cases.append(["ledger", "--m", "4", "--n", "8"])
+    for m, n in ((4, 8), (3, 10000), (4, 10000), (9997, 10000)):
+        cases.append(["ledger", "--m", str(m), "--n", str(n)])
     for field in (["--p", "32003"], ["--field", "q"], ["--p", "2"]):
         for m in ("3", "4"):
             for n in ("5", "6", "7", "8"):
