@@ -119,7 +119,6 @@ from .cohomology import (
     koszul_chase,
     koszul_term_cohomology,
     kunneth,
-    peel_exact_complex,
     sheaf_chase,
     slot3,
 )

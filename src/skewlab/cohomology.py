@@ -14,7 +14,7 @@ so every chase entry is an ``int | AffineForm``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
@@ -215,51 +215,36 @@ class AffineForm:
 
 
 class ChaseContext:
-    """Bound bookkeeping for the rank variables created during a chase.
+    """Boxes of the rank variables created during a chase.
 
-    Each variable is the rank of a connecting map, known only through
-    affine lower and upper bounds, each an ``int`` or an ``AffineForm``.
-    When a lower bound coincides with an upper bound the variable is
-    never created: the bound itself is returned, which is what lets
-    colliding terms cancel symbolically at later stages.  A bound
-    involves only variables created earlier, so a variable's box is
-    final when it is created.  Box ends are integers, and ``None``
-    stands for an unbounded side.
+    A variable is the rank s of a connecting map, bounded by
+    max(0, A - B) <= s <= A.  Where that forces s (A = 0 or B = 0) no
+    variable is made and A is returned, which lets colliding terms
+    cancel symbolically later.  A bound involves only earlier variables,
+    so every box is final, and finite, when it is made.
     """
 
     def __init__(self):
-        self._box: dict[str, tuple] = {}
+        self._box: dict[str, tuple[int, int]] = {}
 
-    def new_rank_var(self, lo_forms: list, hi_forms: list) -> int | AffineForm:
-        for l_form in lo_forms:
-            for h_form in hi_forms:
-                if l_form == h_form:
-                    return l_form
+    def new_rank_var(self, a: int | AffineForm, b: int) -> int | AffineForm:
+        if a == 0 or b == 0:
+            return a
         name = f"v{len(self._box)}"
-        lows = [b for b in (self._span(f)[0] for f in lo_forms) if b is not None]
-        highs = [b for b in (self._span(f)[1] for f in hi_forms) if b is not None]
-        box = (max([0, *lows]), min(highs) if highs else None)
-        if box[1] is not None and box[0] > box[1]:
+        box = (max(0, self.interval(a - b)[0]), self.interval(a)[1])
+        if box[0] > box[1]:
             raise InternalError(f"infeasible chase bounds for {name}")
         self._box[name] = box
         return AffineForm.var(name)
 
-    def _span(self, form: int | AffineForm) -> tuple:
+    def interval(self, form: int | AffineForm) -> tuple[int, int]:
         if not isinstance(form, AffineForm):
             return form, form
         lo = hi = form.const
         for name, c in form.coeffs.items():
-            ends = [None if b is None else c * b for b in self._box[name]]
-            if c < 0:
-                ends.reverse()
-            lo = None if lo is None or ends[0] is None else lo + ends[0]
-            hi = None if hi is None or ends[1] is None else hi + ends[1]
-        return lo, hi
-
-    def interval(self, form: int | AffineForm) -> tuple[int, int]:
-        lo, hi = self._span(form)
-        if lo is None or hi is None:
-            raise InternalError("unbounded chase interval")
+            ends = [c * b for b in self._box[name]]
+            lo += min(ends)
+            hi += max(ends)
         return lo, hi
 
 
@@ -282,37 +267,18 @@ def slot3(
     for i in range(length):
         a_next = a_forms[i + 1] if i + 1 < length else 0
         b_next = b_ints[i + 1] if i + 1 < length else 0
-        s_i = ctx.new_rank_var([0, a_next - b_next], [a_next])
+        s_i = ctx.new_rank_var(a_next, b_next)
         out.append(b_ints[i] - a_forms[i] + s_prev + s_i)
         s_prev = s_i
     return out
 
 
-def peel_exact_complex(
-    terms: Sequence[Sequence[int]], ctx: ChaseContext, trace: list
-) -> list[int | AffineForm]:
-    """Cohomology of the augmentation target of an exact complex.
-
-    For 0 -> T_L -> ... -> T_1 -> T_0 -> F -> 0 with known term
-    cohomology, peels kernel sequences 0 -> K_j -> T_j -> K_{j-1} -> 0
-    from the left and returns the cohomology vector of F: an ``int``
-    where the chase forces the value, an ``AffineForm`` where a rank
-    variable is left.
-    """
-    if not terms:
-        raise RangeError("empty complex")
-    last = len(terms) - 1
-    kernel = list(terms[last])
-    trace.append(f"K{last - 1} = [{', '.join(str(f) for f in kernel)}]")
-    for j in range(last - 1, 0, -1):
-        kernel = slot3(kernel, terms[j], ctx)
-        trace.append(f"K{j - 1} = [{', '.join(str(f) for f in kernel)}]")
-    if last == 0:
-        return kernel
-    return slot3(kernel, terms[0], ctx)
-
-
 # -- chase results -------------------------------------------------------------
+
+
+def _fields_dict(obj) -> dict:
+    """The dataclass fields of ``obj`` by name, without the copies of ``asdict``."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass
@@ -334,16 +300,28 @@ class ChaseResult:
         return tuple(lo for lo, _hi in self.intervals)
 
     def to_json(self) -> dict:
-        return {**asdict(self), "exact": self.exact, "vector": self.vector}
+        return {**_fields_dict(self), "exact": self.exact, "vector": self.vector}
 
 
 def koszul_chase(terms: Sequence[Sequence[int]], name: str) -> ChaseResult:
-    """Chase an exact complex's target cohomology from its term vectors."""
+    """Chase the augmentation target of an exact complex from its term vectors.
+
+    For 0 -> T_L -> ... -> T_1 -> T_0 -> F -> 0 with known term
+    cohomology, peels kernel sequences 0 -> K_j -> T_j -> K_{j-1} -> 0
+    from the left, starting at K_{L-1} = T_L, and chases F: an ``int``
+    where the chase forces the value, an ``AffineForm`` where a rank
+    variable is left.
+    """
+    if not terms:
+        raise RangeError("empty complex")
     ctx = ChaseContext()
     trace: list[str] = []
-    forms = peel_exact_complex(terms, ctx, trace)
-    intervals = tuple(ctx.interval(f) for f in forms)
+    forms = list(terms[-1])
+    for j in range(len(terms) - 2, -1, -1):
+        trace.append(f"K{j} = [{', '.join(str(f) for f in forms)}]")
+        forms = slot3(forms, terms[j], ctx)
     trace.append(f"F = [{', '.join(str(f) for f in forms)}]")
+    intervals = tuple(ctx.interval(f) for f in forms)
     return ChaseResult(name=name, intervals=intervals, trace=trace)
 
 
@@ -422,13 +400,11 @@ def agreement(m: int, n: int, chases: dict[str, ChaseResult] | None = None) -> d
     ):
         chase = chases[twist_name] if chases else sheaf_chase(m, n, twist_name)
         intervals = tuple((scale * lo, scale * hi) for lo, hi in chase.intervals)
-        exact = all(lo == hi for lo, hi in intervals)
-        vector = tuple(lo for lo, _ in intervals) if exact else None
         out[key] = {
             "closed": tables[key],
             "intervals": intervals,
-            "exact": exact,
-            "match": exact and vector == tables[key],
+            "exact": chase.exact,
+            "match": chase.exact and tuple(scale * v for v in chase.vector) == tables[key],
             "max_width": max(hi - lo for lo, hi in intervals),
         }
     return out
@@ -467,7 +443,7 @@ class H0FResult:
         return self.interval[0]
 
     def to_json(self) -> dict:
-        return {**asdict(self), "exact": self.exact}
+        return {**_fields_dict(self), "exact": self.exact}
 
 
 def h0F(m: int, n: int) -> H0FResult:
@@ -553,7 +529,7 @@ class DimensionLedger:
     flagged: bool
 
     def to_json(self) -> dict:
-        return {**asdict(self), "h0f": self.h0f.to_json()}
+        return {**_fields_dict(self), "h0f": self.h0f.to_json()}
 
 
 def dimension_ledger(m: int, n: int) -> DimensionLedger:

@@ -256,12 +256,9 @@ def verify_in_image(datum: ProjectionDatum) -> tuple[PolyMatrix, Matrix, Certifi
     field = datum.g.field
     ambient = dim_homog(3, (datum.n - 1) // 2)
     p_mat = Matrix.from_columns(field, [list(q.coeffs) for q in pfs], ambient)
-    cols = []
-    for b in datum.complement.basis_polys():
-        sol = solve(p_mat, list(b.coeffs))
-        if sol is None:
-            raise InternalError("annihilator basis not in the sub-Pfaffian span")
-        cols.append(sol)
+    cols = solve(p_mat, [list(b.coeffs) for b in datum.complement.basis_polys()])
+    if cols is None:
+        raise InternalError("annihilator basis not in the sub-Pfaffian span")
     a_mat = Matrix.from_columns(field, cols, datum.n)
     if rank(a_mat) < datum.n:
         raise InternalError("sub-Pfaffian change of basis is singular")
@@ -470,15 +467,12 @@ def even_scroll_sample(pencil: PolyMatrix, count: int) -> ScrollSample:
 
     points: list[ScrollPoint] = []
     skipped = 0
-
-    def visit(nu) -> bool:
-        """Process one curve point; returns True when enough points."""
-        nonlocal skipped
-        mat = evaluate_matrix(pm, nu)
-        ker = kernel_basis(mat)
+    scanned = p * p + p + 1
+    for nu, position in _curve_points(rows, line, last, p):
+        ker = kernel_basis(evaluate_matrix(pm, nu))
         if len(ker) != 2:
             skipped += 1
-            return False
+            continue
         b1, b2 = ker
         xs = []
         ranks = []
@@ -492,11 +486,7 @@ def even_scroll_sample(pencil: PolyMatrix, count: int) -> ScrollSample:
         points.append(
             ScrollPoint(nu=nu, kernel=(tuple(b1), tuple(b2)), x_samples=xs, incidence_ranks=ranks)
         )
-        return len(points) >= count
-
-    scanned = p * p + p + 1
-    for nu, position in _curve_points(rows, line, last, p):
-        if visit(nu):
+        if len(points) >= count:
             scanned = position
             break
 

@@ -225,7 +225,7 @@ class GF(Field):
         size, p = w // 8, self.p
         return int.from_bytes(b"".join([(a % p).to_bytes(size, "little") for a in row]), "little")
 
-    def unpack(self, packed, ncols: int, w: int, scale=1) -> list:
+    def unpack(self, packed, ncols: int, w: int, scale) -> list:
         """The reduced entries of a packed row, each multiplied by ``scale``."""
         size, p, read = w // 8, self.p, int.from_bytes
         data = packed.to_bytes(ncols * size, "little")

@@ -322,22 +322,27 @@ def kernel_line(mat: Matrix, prefix: int) -> list[list]:
     return ker
 
 
-def solve(mat: Matrix, rhs: Sequence) -> list | None:
-    """One solution of ``mat x = rhs`` with free variables set to zero.
+def solve(mat: Matrix, rhs: Sequence[Sequence]) -> list[list] | None:
+    """One solution of ``mat x = b`` for each b in ``rhs``, with free variables set to zero.
 
-    Returns ``None`` when the system is inconsistent (a signal, not an
-    error).
+    All the systems share one elimination of ``mat`` beside its
+    right-hand sides.  Returns ``None`` when any of them is inconsistent
+    (a signal, not an error).
     """
-    if len(rhs) != mat.nrows:
+    if any(len(b) != mat.nrows for b in rhs):
         raise DegreeMismatch("right-hand side length mismatch")
     field, ncols = mat.field, mat.ncols
-    pivots, _, cols = _echelon([r + [b] for r, b in zip(mat.rows, rhs)], field, ncols + 1)
-    if pivots and pivots[-1] == ncols:
+    rows = [row + [b[i] for b in rhs] for i, row in enumerate(mat.rows)]
+    pivots, _, cols = _echelon(rows, field, ncols + len(rhs))
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = [field.zero] * ncols
-    for pc, a in zip(pivots, cols[-1]):
-        x[pc] = a
-    return x
+    sols = []
+    for col in cols[len(cols) - len(rhs) :]:
+        x = [field.zero] * ncols
+        for pc, a in zip(pivots, col):
+            x[pc] = a
+        sols.append(x)
+    return sols
 
 
 def row_space_canonical(mat: Matrix) -> list[list]:

@@ -1,5 +1,8 @@
 """Twisted-form cohomology: closed formulas, Koszul chases, dimension ledger."""
 
+import copy
+import dataclasses
+import json
 import math
 
 import pytest
@@ -161,13 +164,19 @@ def test_affine_form_mixes_with_ints():
 
 def test_chase_context_on_int_bounds():
     ctx = ChaseContext()
-    # a forced rank is returned as the int itself, and no variable is made
-    got = ctx.new_rank_var([0, 2], [2])
+    # a forced rank is returned as the int itself, and no variable is made:
+    # B = 0 forces s = A, and A = 0 forces s = 0
+    got = ctx.new_rank_var(2, 0)
     assert type(got) is int and got == 2
+    got = ctx.new_rank_var(0, 3)
+    assert type(got) is int and got == 0
     assert ctx.interval(5) == (5, 5)
-    fresh = ctx.new_rank_var([0, 1], [4])
+    # an open box is (max(0, A - B), A)
+    fresh = ctx.new_rank_var(4, 3)
     assert str(fresh) == "v0" and ctx.interval(fresh) == (1, 4)
     assert ctx.interval(3 - fresh) == (-1, 2)
+    clipped = ctx.new_rank_var(2, 5)
+    assert str(clipped) == "v1" and ctx.interval(clipped) == (0, 2)
 
 
 def test_grid_chase_builds_forms_only_for_rank_variables(monkeypatch):
@@ -200,20 +209,26 @@ def test_grid_chase_builds_forms_only_for_rank_variables(monkeypatch):
 
 def test_chase_context_substitutes_forced_variables():
     ctx = ChaseContext()
-    x = AffineForm.var("x")
-    # equal bound on both sides: no new variable, the bound itself returns
-    got = ctx.new_rank_var([x + 1], [x + 1, 5])
-    assert got == x + 1
-    # genuinely open bounds make a fresh box variable
-    fresh = ctx.new_rank_var([0], [3])
-    assert fresh.coeffs
-    assert ctx.interval(fresh) == (0, 3)
+    x = ctx.new_rank_var(3, 1)
+    assert str(x) == "v0" and ctx.interval(x) == (2, 3)
+    # B = 0 returns the form A itself: no new variable
+    got = ctx.new_rank_var(x + 1, 0)
+    assert got == x + 1 and type(got) is AffineForm
+    # an open box over forms reads the boxes of the earlier variables:
+    # x + 1 lies in [3, 4] and x + 1 - 2 in [1, 2]
+    fresh = ctx.new_rank_var(x + 1, 2)
+    assert str(fresh) == "v1" and ctx.interval(fresh) == (1, 4)
+    # 5 - x lies in [2, 3], and 5 - x - 4 in [-2, -1] is clipped to 0
+    fresh = ctx.new_rank_var(5 - x, 4)
+    assert str(fresh) == "v2" and ctx.interval(fresh) == (0, 3)
+    assert ctx.interval(fresh - x) == (-3, 1)
 
 
 def test_chase_context_detects_infeasible():
     ctx = ChaseContext()
+    # a negative A leaves no room for a rank: max(0, A - B) > A
     with pytest.raises(InternalError, match="infeasible chase bounds for v0"):
-        ctx.new_rank_var([2], [1])
+        ctx.new_rank_var(-1, 1)
 
 
 def test_slot3_exact_sequence_arithmetic():
@@ -229,6 +244,18 @@ def test_koszul_chase_trivial_complex():
     # resolution 0 -> T1 -> T0 -> F -> 0 with exact middle cohomology
     res = koszul_chase([(5, 0, 0), (2, 0, 0)], name="toy")
     assert res.exact and res.vector == (3, 0, 0)
+
+
+def test_koszul_chase_one_term_complex():
+    # 0 -> T0 -> F -> 0: F is T0, and the trace has no kernel line
+    res = koszul_chase([(4, 0, 1)], name="one")
+    assert res.intervals == ((4, 4), (0, 0), (1, 1)) and res.vector == (4, 0, 1)
+    assert res.trace == ["F = [4, 0, 1]"]
+    # the trace names each kernel from K_{L-1} = T_L down to K_0
+    res = koszul_chase([(5, 0, 0), (2, 0, 0)], name="toy")
+    assert res.trace == ["K0 = [2, 0, 0]", "F = [3, 0, 0]"]
+    with pytest.raises(RangeError, match="empty complex"):
+        koszul_chase([], name="none")
 
 
 # -- chases against closed forms -----------------------------------------------------
@@ -317,6 +344,26 @@ def test_dimension_ledger_flagged_row():
     assert led.flagged and led.delta == (0, 1)
     assert led.delta_matches_codim and led.codim_rho == 0
     assert led.identity_ok is None
+
+
+def test_ledger_to_json_copies_nothing(monkeypatch):
+    led = dimension_ledger(9997, 10000)
+    want = {
+        **dataclasses.asdict(led),
+        "h0f": {**dataclasses.asdict(led.h0f), "exact": led.h0f.exact},
+    }
+    copies = []
+    deepcopy = copy.deepcopy
+
+    def counting_deepcopy(*args, **kwargs):
+        copies.append(1)
+        return deepcopy(*args, **kwargs)
+
+    monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
+    got = led.to_json()
+    assert not copies
+    # the same dict, key order included, as the asdict-based serialization
+    assert got == want and json.dumps(got) == json.dumps(want)
 
 
 def test_grid_rows_all_match():

@@ -342,15 +342,34 @@ def test_solve_particular_and_inconsistent():
         a = random_matrix(field, 5, 7, rng)
         x0 = [field.from_int(rng.randint(-4, 4)) for _ in range(7)]
         b = mul_vec(a, x0)
-        x = solve(a, b)
-        assert x is not None and mul_vec(a, x) == b
+        sols = solve(a, [b])
+        assert sols is not None and len(sols) == 1
+        x = sols[0]
+        assert mul_vec(a, x) == b
         # free coordinates of the returned solution are zero
         pivots = linalg._echelon(a.rows, field, a.ncols)[0]
         for j in range(a.ncols):
             if j not in pivots:
                 assert x[j] == field.zero
     bad = Matrix(QQ, [[1, 1], [1, 1]])
-    assert solve(bad, [0, 1]) is None
+    assert solve(bad, [[0, 1]]) is None
+
+
+def test_solve_several_right_hand_sides_at_once():
+    rng = SplitMix64(7)
+    for field in (QQ, GF(101)):
+        a = random_matrix(field, 6, 4, rng)
+        # columns in the image, so the tall system is consistent
+        rhs = [
+            mul_vec(a, [field.from_int(rng.randint(-4, 4)) for _ in range(4)])
+            for _ in range(3)
+        ]
+        assert solve(a, rhs) == [solve(a, [b])[0] for b in rhs]
+        assert solve(a, []) == []
+        bad = Matrix(field, [[1, 1], [1, 1]])
+        assert solve(bad, [[1, 1], [2, 2]]) == [[1, 0], [2, 0]]
+        # one inconsistent column makes the whole answer None
+        assert solve(bad, [[1, 1], [0, 1], [2, 2]]) is None
 
 
 # -- the determinant oracle ------------------------------------------------------
@@ -520,7 +539,7 @@ def test_pack_unpack_round_trip(field):
         for k in (1, 7, 1000):
             w = field.pack_width(k)
             packed = field.pack(row, w)
-            assert field.unpack(packed, ncols, w) == row
+            assert field.unpack(packed, ncols, w, 1) == row
             for c in range(ncols):
                 assert field.entry(packed, c, w) == row[c]
 
