@@ -13,6 +13,10 @@ and the Hilbert function) and each generator block of
 ``dual_socle_generator``.  The exact integer scaling is reduced by the
 field; over F_p it can vanish, so workflows that rely on invertible
 factorials must check ``field.char_exceeds(degree)`` first.
+``hilbert_function`` is the one such check inside this module: it ranks
+the middle catalecticant, walks down only while a rank is short of full,
+and mirrors the upper half only when the characteristic exceeds the
+degree, ranking it otherwise.
 """
 
 from __future__ import annotations
@@ -121,10 +125,38 @@ def is_nondegenerate(target: HomogPoly) -> bool:
 
 
 def hilbert_function(target: HomogPoly) -> tuple[int, ...]:
-    """Hilbert function of the apolar algebra, degrees 0..deg(target)."""
+    """Hilbert function of the apolar algebra, degrees 0..k = deg(target).
+
+    Degree d is the rank of the catalecticant Cat_d, the pairing against
+    degree-d operators.  The loop ranks Cat_t at t = k // 2 and walks
+    down from there, and two facts fill the other degrees unranked:
+
+    * below t, once Cat_{d+1} is injective, Cat_d is too, in every
+      characteristic: a nonzero degree-d operator g with g(F) = 0
+      would give the nonzero y0 g with (y0 g)(F) = y0(g(F)) = 0 one
+      degree up;
+    * above t, when the characteristic exceeds k, Cat_d is Cat_{k-d}
+      transposed, with the column of an operator monomial a scaled by a!
+      and the row of a result monomial g by 1/g!, so h[d] = h[k - d].
+      Over a smaller characteristic those factorials can vanish, and
+      these degrees are ranked.
+
+    A nondegenerate form with char > k thus costs one rank, not k + 1.
+    """
     if target.is_zero():
         raise UsageError("hilbert_function of the zero form")
-    return tuple(apolar_rank(target, d) for d in range(target.degree + 1))
+    k, nvars = target.degree, target.alphabet.nvars
+    mirrored = target.field.char_exceeds(k)
+    t = k // 2
+    h = [0] * (k + 1)
+    for d in (*range(t, -1, -1), *range(t + 1, k + 1)):
+        if d < t and h[d + 1] == dim_homog(nvars, d + 1):
+            h[d] = dim_homog(nvars, d)
+        elif d > t and mirrored:
+            h[d] = h[k - d]
+        else:
+            h[d] = apolar_rank(target, d)
+    return tuple(h)
 
 
 def dual_socle_generator(gens: Sequence[HomogPoly], k: int) -> HomogPoly:

@@ -79,6 +79,13 @@ def _build_certificate(
     """Check the correspondence identities of ``form`` and ``span``.
 
     ``ann`` is the degree (n-1)/2 annihilator of ``form``.
+
+    Both callers require char > k, so ``hilbert_function`` ranks only
+    the middle catalecticant and the degrees below it that are not full,
+    and fills h[d] for d > k/2 with h[k - d].  ``hilbert_symmetric`` and
+    ``socle_dim`` read those mirrored values, so they hold by
+    construction and are flags, not computed checks; ``hilbert_maximal``
+    reads the ranked lower half.
     """
     k = n - 3
     gen_deg = (n - 1) // 2

@@ -18,6 +18,7 @@ from skewlab import (
     OddDegree,
     SplitMix64,
     apolar_rank,
+    apolarity,
     catalecticant_rank,
     d_vars,
     dim_homog,
@@ -35,7 +36,7 @@ from skewlab import (
     row_space_canonical,
     y_vars,
 )
-from skewlab.randomness import random_form, random_nondegenerate_dual_form
+from skewlab.randomness import random_form, random_nondegenerate_dual_form, random_scalar
 
 from conftest import contains, mul_vec
 
@@ -158,6 +159,76 @@ def test_hilbert_function_is_symmetric(coeffs):
     h = hilbert_function(f)
     assert h == tuple(reversed(h))
     assert all(v <= dim_homog(3, t) for t, v in enumerate(h))
+
+
+HILBERT_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(32003), QQ]
+
+
+def sparse_form(k, field, rng):
+    """A degree-k form with 1 to 4 random terms (possibly the zero form)."""
+    coeffs = [field.zero] * dim_homog(3, k)
+    for _ in range(rng.randint(1, 4)):
+        coeffs[rng.below(len(coeffs))] = random_scalar(field, rng)
+    return HomogPoly(d_vars(), k, field, coeffs)
+
+
+@pytest.mark.parametrize("field", HILBERT_FIELDS, ids=repr)
+def test_hilbert_function_matches_every_catalecticant_rank(field):
+    rng = SplitMix64(60)
+    checked = 0
+    for k in range(9):
+        forms = [sparse_form(k, field, rng) for _ in range(4)]
+        forms += [random_form(d_vars(), k, field, rng) for _ in range(2)]
+        for f in forms:
+            if f.is_zero():
+                continue
+            assert hilbert_function(f) == tuple(apolar_rank(f, d) for d in range(k + 1))
+            checked += 1
+    assert checked >= 40
+
+
+def test_hilbert_function_pinned_values():
+    # y0 kills d0^3 mod 3, so h is not symmetric: mirroring would give (1, 0, 0, 1)
+    assert hilbert_function(dpoly("d0^3", GF(3))) == (1, 0, 0, 0)
+    assert hilbert_function(dpoly("d0^2*d1^2*d2", GF(2))) == (1, 1, 0, 0, 0, 0)
+    # no degree up to the middle is injective, so the walk down reaches degree 0
+    assert hilbert_function(dpoly("d0^4 + d1^4", GF(101))) == (1, 2, 2, 2, 1)
+
+
+def count_ranks(monkeypatch):
+    """The operator degrees of every ``apolar_rank`` call from now on."""
+    degrees, real = [], apolarity.apolar_rank
+
+    def spy(target, op_degree):
+        degrees.append(op_degree)
+        return real(target, op_degree)
+
+    monkeypatch.setattr(apolarity, "apolar_rank", spy)
+    return degrees
+
+
+def test_hilbert_function_ranks_one_catalecticant_when_nondegenerate(monkeypatch):
+    # the degree-12 dual form of an n = 15 pencil: the middle is injective
+    # and the characteristic exceeds 12, so no other degree is ranked
+    g = random_nondegenerate_dual_form(12, GF(32003), SplitMix64(22))
+    degrees = count_ranks(monkeypatch)
+    assert hilbert_function(g) == (1, 3, 6, 10, 15, 21, 28, 21, 15, 10, 6, 3, 1)
+    assert degrees == [6]
+
+
+def test_hilbert_function_walks_down_while_not_injective(monkeypatch):
+    degrees = count_ranks(monkeypatch)
+    hilbert_function(dpoly("d0^4 + d1^4", GF(101)))
+    assert degrees == [2, 1, 0]
+
+
+@pytest.mark.parametrize("field, k", [(GF(5), 5), (GF(3), 4), (GF(7), 8)], ids=repr)
+def test_hilbert_function_ranks_the_upper_half_in_small_characteristic(monkeypatch, field, k):
+    f = random_form(d_vars(), k, field, SplitMix64(23))
+    want = tuple(apolar_rank(f, d) for d in range(k + 1))
+    degrees = count_ranks(monkeypatch)
+    assert hilbert_function(f) == want
+    assert [d for d in degrees if d > k // 2] == list(range(k // 2 + 1, k + 1))
 
 
 def test_catalecticant_rank():

@@ -25,13 +25,22 @@ The manifest is fixed, and every case is a pure function of its inputs:
   m = 1..3 and seeds 0..2 over QQ, F_2, F_3, F_5, F_7 and F_32003
   (810 pencils); their degree n // 2 lies on both sides of the small
   primes.
+* ``hilbert``: ``hilbert_function`` of forms of degree k = 0..8 in
+  d0, d1, d2 over QQ, F_2, F_3, F_5, F_7 and F_101 (1,188 forms), per
+  field and degree: ``dense`` (``random_form``, seeds 0..3), ``sparse``
+  (1 to 4 random terms, seeds 0..9), ``binary`` (dense in d0 and d1
+  alone, seeds 0..3) and ``power`` (the k-th power of a random linear
+  form, a form in one variable after a change of coordinates, seeds
+  0..3).  Every characteristic at most 8 is below some k, where the
+  apolarity scales can vanish.
 
 A form records the sha256 of its pencil and certificate JSON, or the
 class and message of the genericity error it raises; a pencil records
-the sha256 of its Pfaffians, written as polynomials.  The cases run in
-one process on the ``src/`` of ``--tree`` (default: the checkout this
-file is in); the tallies per exit code and per outcome class are printed
-at the end.  ``--compare`` exits 1 when any case differs from the file.
+the sha256 of its Pfaffians, written as polynomials; a Hilbert function
+records its values, or the class and message of the error it raises.
+The cases run in one process on the ``src/`` of ``--tree`` (default: the
+checkout this file is in); the tallies per exit code and per outcome
+class are printed at the end.  ``--compare`` exits 1 when any case differs from the file.
 Standard library only; takes about a minute.
 """
 
@@ -51,6 +60,8 @@ FP_FORMS = [
 ]
 QQ_FORMS = [(None, 5, 60), (None, 7, 15)]
 PFAFFIAN_PRIMES = (None, 2, 3, 5, 7, 32003)
+HILBERT_PRIMES = (None, 2, 3, 5, 7, 101)
+HILBERT_SEEDS = {"dense": 4, "sparse": 10, "binary": 4, "power": 4}
 
 
 def cli_cases() -> list[list[str]]:
@@ -142,6 +153,49 @@ def run_pfaffians(sk) -> dict[str, str]:
     return out
 
 
+def hilbert_form(kind: str, k: int, field, rng, sk):
+    """One ``hilbert`` case: a degree-``k`` form of the given kind."""
+    from skewlab.randomness import random_scalar
+
+    if kind == "dense":
+        return sk.random_form(sk.d_vars(), k, field, rng)
+    if kind == "power":
+        line = sk.random_form(sk.d_vars(), 1, field, rng)
+        poly = sk.HomogPoly(sk.d_vars(), 0, field, [field.one])
+        for _ in range(k):
+            poly = poly * line
+        return poly
+    monos = sk.monomials(3, k)
+    coeffs = [field.zero] * len(monos)
+    if kind == "sparse":
+        for _ in range(1 + rng.below(4)):
+            coeffs[rng.below(len(monos))] = random_scalar(field, rng)
+    else:
+        for i, e in enumerate(monos):
+            if e[2] == 0:
+                coeffs[i] = random_scalar(field, rng)
+    return sk.HomogPoly(sk.d_vars(), k, field, coeffs)
+
+
+def run_hilbert(sk) -> dict[str, str]:
+    """Per form: ``"ok h0,h1,..."`` or ``"<error class>: <message>"``."""
+    out = {}
+    for p in HILBERT_PRIMES:
+        field = sk.QQ if p is None else sk.GF(p)
+        for k in range(9):
+            for kind, count in HILBERT_SEEDS.items():
+                for seed in range(count):
+                    form = hilbert_form(kind, k, field, sk.SplitMix64(seed), sk)
+                    key = f"{field!r}/{kind}/k{k}/{seed}"
+                    try:
+                        h = sk.hilbert_function(form)
+                    except sk.SkewlabError as exc:
+                        out[key] = f"{type(exc).__name__}: {exc}"
+                        continue
+                    out[key] = "ok " + ",".join(map(str, h))
+    return out
+
+
 def run_all(tree: str) -> dict[str, dict[str, str]]:
     sys.path.insert(0, os.path.join(tree, "src"))
     import skewlab as sk
@@ -152,6 +206,7 @@ def run_all(tree: str) -> dict[str, dict[str, str]]:
         "fp-forms": run_forms(FP_FORMS, sk),
         "qq-forms": run_forms(QQ_FORMS, sk),
         "pfaffians": run_pfaffians(sk),
+        "hilbert": run_hilbert(sk),
     }
 
 
