@@ -11,6 +11,7 @@ the identities that make the pairing bijective on generic inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .apolarity import dual_socle_generator, hilbert_function, perp_slice
 from .errors import (
@@ -21,8 +22,8 @@ from .errors import (
     SkewNormalizationFailure,
     SyzygyDefect,
 )
-from .fields import Field
-from .linalg import Matrix, kernel_basis, kernel_line, rank
+from .fields import Field, integer_rows
+from .linalg import Matrix, kernel_basis, kernel_line, rank, row_space_canonical
 from .rings import GradedSlice, HomogPoly, dim_homog, mono_index, slices_equal
 from .skew import PolyMatrix, skew_linear, sub_pfaffians
 
@@ -168,33 +169,111 @@ def _times_linear(gens: list[HomogPoly]) -> Matrix:
 def _skew_combinations(layers: list[Matrix], n: int, field: Field) -> list:
     """The one solution Q, row-major, of the skewness constraints with N = Q T.
 
-    ``layers[k]`` is T_k, the y_k coefficient matrix of T.  Unknowns are
-    the n^2 entries of Q in row-major order; for every variable and every
-    pair i <= j the constraint is (Q T_k)_{ij} + (Q T_k)_{ji} = 0, whose
-    coefficients on row i of Q are column j of T_k and vice versa.  For
-    i = j the row is (Q T_k)_{ii} = 0, half the constraint, with the same
-    solutions: the characteristic exceeds n - 3 >= 2.  The rows run layer
-    by layer, and the first two layers, n^2 + n rows for n^2 unknowns,
-    are eliminated; the third only checks their solution
-    (``kernel_line``).  Returns the canonical basis vector of the
-    solution line, and raises ``SkewNormalizationFailure`` with the
-    dimension of any other space.
+    ``layers[k]`` is T_k, the y_k coefficient matrix of T, and Q T_k must
+    be skew for k = 0, 1, 2.  The unknowns are not the n^2 entries of Q.
+    One reduced echelon form of [T_0 | I] has rows [R | E] with E T_0 = R,
+    R the reduced echelon form of T_0 with pivots c_i, and rows [0 | u]
+    whose u are a basis U_0 of the left kernel of T_0; R's free columns
+    give a basis W_0 of its right kernel, r_0 = |W_0|.  P, with row c_i
+    equal to E_i and zeros elsewhere, has P T_0 = I - W_0 F^T, F
+    selecting W_0's free coordinates.  So Q T_0 is skew exactly when
+    Q = S P + C U_0^T for a skew S with S W_0 = 0 and an n x r_0 matrix
+    C, and the map (S, C) -> Q is a bijection: Q T_0 = S gives S back,
+    and Q - S P has its rows in the span of U_0.  All of this holds with
+    P scaled by one integer and each u and each W_0 vector by its own,
+    and Q T_k is skew when T_k times an integer is, so the rows are
+    built over ZZ: QQ runs no ``Fraction`` arithmetic, F_p reduces in
+    the elimination.
+
+    The unknowns are the C(n, 2) entries s_ij (i < j) of S, then C
+    row-major.  Write Q = X K, X = [S[:, c] | C] and K the rows E_i and
+    u stacked; (Q T_k)_{ab} is row a of X times column b of K T_k.  The
+    rows are S W_0 = 0 (n r_0 of them), then for T_1 and then T_2 and
+    every a <= b, (Q T_k)_{ab} + (Q T_k)_{ba} = 0; for a = b the row is
+    (Q T_k)_{aa} = 0, half the constraint, with the same solutions: the
+    characteristic exceeds n - 3 >= 2.  ``kernel_line`` eliminates the
+    rows through T_1's and checks T_2's against its line.  The bijection
+    carries both its prefix solutions and its full solutions onto those
+    of the system in the n^2 entries of Q, so it sees the same
+    dimensions, and Q of its line, scaled to a unit at its last nonzero
+    entry, is that system's canonical kernel vector.  Returns that
+    vector, and raises ``SkewNormalizationFailure`` with the dimension
+    of any other solution space.
     """
+    t0, t1, t2 = (_scaled(t.rows, n) for t in layers)
+    echelon = row_space_canonical(
+        Matrix(field, [row + [int(i == j) for j in range(n)] for i, row in enumerate(t0)], 2 * n)
+    )
+    pivots = [next(c for c, a in enumerate(row) if a) for row in echelon]
+    rho = sum(c < n for c in pivots)
+    free = [c for c in range(n) if c not in pivots[:rho]]
+    w0 = []
+    for f in free:
+        w = [0] * n
+        w[f] = 1
+        for row, c in zip(echelon, pivots[:rho]):
+            w[c] = -row[f]
+        w0.append(w)
+    w0 = integer_rows(w0)
+    k_rows = _scaled([row[n:] for row in echelon[:rho]], n) + integer_rows(
+        [row[n:] for row in echelon[rho:]]
+    )
+    r0, half = n - rho, n * (n - 1) // 2
+
+    def s_at(a, j):
+        # the unknown s_lo,hi of S[a][j], j != a, and the sign it carries there
+        lo, hi = min(a, j), max(a, j)
+        return lo * n - lo * (lo + 1) // 2 + hi - lo - 1, 1 if a < j else -1
+
+    # row a of S and row a of X as (column, unknown, sign) triples
+    s_slots = [[(j, *s_at(a, j)) for j in range(n) if j != a] for a in range(n)]
+    x_slots = [
+        [(i, *s_at(a, c)) for i, c in enumerate(pivots[:rho]) if c != a]
+        + [(rho + l, half + a * r0 + l, 1) for l in range(r0)]
+        for a in range(n)
+    ]
+
+    def add(row, slots, vec):
+        for i, pos, sign in slots:
+            row[pos] += sign * vec[i]
+
+    width = half + n * r0
     rows = []
-    for t in layers:
-        ck = t.transpose().rows
-        for i in range(n):
-            for j in range(i, n):
-                row = [field.zero] * (n * n)
-                row[i * n : (i + 1) * n] = ck[j]
-                row[j * n : (j + 1) * n] = ck[i]
+    for a in range(n):
+        for w in w0:
+            row = [0] * width
+            add(row, s_slots[a], w)
+            rows.append(row)
+    for t in (t1, t2):
+        # column b of K T
+        kt = [[sum(map(mul, k, col)) for k in k_rows] for col in zip(*t)]
+        for a in range(n):
+            for b in range(a, n):
+                row = [0] * width
+                add(row, x_slots[a], kt[b])
+                if b != a:
+                    add(row, x_slots[b], kt[a])
                 rows.append(row)
-    q_space = kernel_line(Matrix(field, rows, n * n), n * n + n)
-    if len(q_space) != 1:
+    line = kernel_line(Matrix(field, rows, width), n * r0 + n * (n + 1) // 2)
+    if len(line) != 1:
         raise SkewNormalizationFailure(
-            f"skew solution space has dimension {len(q_space)}, expected 1"
+            f"skew solution space has dimension {len(line)}, expected 1"
         )
-    return q_space[0]
+    (v,) = integer_rows(line)
+    q = []
+    for a in range(n):
+        acc = [0] * n
+        for i, pos, sign in x_slots[a]:
+            acc = [x + sign * v[pos] * y for x, y in zip(acc, k_rows[i])]
+        q.extend(map(field.from_int, acc))
+    scale = field.inv(next(a for a in reversed(q) if a))
+    return [field.from_int(a * scale) for a in q]
+
+
+def _scaled(rows: list[list], n: int) -> list[list[int]]:
+    """The n-column ``rows`` times one integer, the lcm of all their denominators."""
+    (flat,) = integer_rows([[a for row in rows for a in row]])
+    return [flat[i : i + n] for i in range(0, len(flat), n)]
 
 
 def form_to_matrix(form: HomogPoly) -> tuple[PolyMatrix, Certificate]:
@@ -205,9 +284,14 @@ def form_to_matrix(form: HomogPoly) -> tuple[PolyMatrix, Certificate]:
     for the constant Q making N = Q T skew.  For a generic form these Q
     form a line (Buchsbaum-Eisenbud), whose canonical basis vector gives
     N as the three products Q T_k; any other dimension raises
-    ``SkewNormalizationFailure``.  Last, certify that the sub-Pfaffians of
-    N span the same space as g.  A singular Q fails there: N then has a
-    constant kernel vector, so its sub-Pfaffians span at most a line.
+    ``SkewNormalizationFailure``.  The solve (``_skew_combinations``)
+    makes Q T_0 skew by construction, Q = S P + C U_0^T with U_0 the left
+    kernel of T_0, so it has C(n, 2) + n r_0 unknowns rather than n^2,
+    r_0 the corank of T_0; the map to Q is a bijection, so the vector
+    and every dimension it reports are those of the n^2-unknown system.
+    Last, certify that the sub-Pfaffians of N span the same space as g.
+    A singular Q fails there: N then has a constant kernel vector, so its
+    sub-Pfaffians span at most a line.
     """
     if form.alphabet.key != "D":
         raise AlphabetMismatch("dual form must live over the d alphabet")

@@ -27,7 +27,8 @@ from skewlab import (
     sub_pfaffians,
     y_vars,
 )
-from skewlab import linalg
+from skewlab import correspond, linalg
+from skewlab.linalg import Matrix
 from skewlab.randomness import (
     random_form,
     random_nondegenerate_dual_form,
@@ -209,8 +210,10 @@ def test_form_to_matrix_needs_a_line_of_skew_solutions():
 
 
 def test_line_solves_eliminate_only_the_rows_they_need(monkeypatch):
-    # the skew solve reduces layers T_0 and T_1, the socle solve the generator
-    # blocks up to the first boundary with at least n_cols - 1 rows
+    # the skew solve reduces [T_0 | I] and its prefix, S W_0 = 0 and the T_1
+    # rows, in C(n, 2) + n r_0 unknowns; the T_2 rows are only checked.  The
+    # socle solve reduces the generator blocks up to the first boundary with
+    # at least n_cols - 1 rows
     n, field = 11, GF(32003)
     shapes = []
     echelon = linalg._echelon
@@ -221,8 +224,12 @@ def test_line_solves_eliminate_only_the_rows_they_need(monkeypatch):
 
     monkeypatch.setattr(linalg, "_echelon", spy)
     form_to_matrix(random_nondegenerate_dual_form(n - 3, field, SplitMix64(1)))
-    skew_rows = [rows for rows, ncols in shapes if ncols == n * n]
-    assert skew_rows == [n * n + n] and 3 * n * (n + 1) // 2 not in skew_rows
+    r0, width = 1, n * (n - 1) // 2 + n
+    prefix = n * r0 + n * (n + 1) // 2
+    assert (prefix, width) == (77, 66)
+    assert shapes.count((n, 2 * n)) == 1
+    assert [rows for rows, ncols in shapes if ncols == width] == [prefix]
+    assert not [shape for shape in shapes if shape[1] == n * n]
 
     shapes.clear()
     matrix_to_form(seeded_pencil(n, field, 1))
@@ -233,9 +240,79 @@ def test_line_solves_eliminate_only_the_rows_they_need(monkeypatch):
 
 
 def test_qq_skew_failure_states_the_exact_dimension():
-    # with no layers every Q is a solution: the kernel is all n^2 entries
+    # with zero layers every Q is a solution: the kernel is all n^2 entries
+    zero = Matrix(QQ, [[QQ.zero] * 5 for _ in range(5)])
     with pytest.raises(SkewNormalizationFailure, match="has dimension 25, expected 1"):
-        _skew_combinations([], 5, QQ)
+        _skew_combinations([zero] * 3, 5, QQ)
+
+
+def skew_combinations_in_n2_unknowns(layers, n, field):
+    """The skew normalization solved for all n^2 entries of Q, row-major.
+
+    For every layer T_k and pair i <= j the row is (Q T_k)_{ij} +
+    (Q T_k)_{ji} = 0, whose coefficients on row i of Q are column j of
+    T_k and vice versa (for i = j, (Q T_k)_{ii} = 0).  The T_0 and T_1
+    rows, n^2 + n of them, are eliminated and the T_2 rows checked.
+    """
+    rows = []
+    for t in layers:
+        ck = t.transpose().rows
+        for i in range(n):
+            for j in range(i, n):
+                row = [field.zero] * (n * n)
+                row[i * n : (i + 1) * n] = ck[j]
+                row[j * n : (j + 1) * n] = ck[i]
+                rows.append(row)
+    q_space = linalg.kernel_line(Matrix(field, rows, n * n), n * n + n)
+    if len(q_space) != 1:
+        raise SkewNormalizationFailure(
+            f"skew solution space has dimension {len(q_space)}, expected 1"
+        )
+    return q_space[0]
+
+
+SKEW_ORACLE_FORMS = (
+    [("nondegenerate", GF(32003), n, 1, 1) for n in (7, 9, 11, 13)]
+    + [("nondegenerate", QQ, n, 1, 1) for n in (5, 7)]
+    # T_0 of corank 2: Q is a line but singular, or a 3-dimensional space
+    + [("random", GF(p), n, seed, 2) for p, n, seed in ((7, 5, 0), (11, 7, 59), (13, 5, 10), (7, 7, 30))]
+    + [("d0^2*d1*d2", field, 7, None, 3) for field in (GF(101), QQ)]
+)
+
+
+@pytest.mark.parametrize(
+    "kind, field, n, seed, r0",
+    SKEW_ORACLE_FORMS,
+    ids=lambda v: v if isinstance(v, str) else repr(v),
+)
+def test_skew_combinations_match_the_n2_unknown_system(monkeypatch, kind, field, n, seed, r0):
+    if kind == "nondegenerate":
+        form = random_nondegenerate_dual_form(n - 3, field, SplitMix64(seed))
+    elif kind == "random":
+        form = random_form(d_vars(), n - 3, field, SplitMix64(seed))
+    else:
+        form = parse_poly(kind, d_vars(), field)
+    calls = []
+
+    def spy(layers, n, field):
+        calls.append((layers, n, field))
+        return _skew_combinations(layers, n, field)
+
+    monkeypatch.setattr(correspond, "_skew_combinations", spy)
+    try:
+        form_to_matrix(form)
+    except GenericityError:
+        pass
+    (args,) = calls
+    assert args[1] - linalg.rank(args[0][0]) == r0
+    results = []
+    for solve in (skew_combinations_in_n2_unknowns, _skew_combinations):
+        try:
+            results.append(solve(*args))
+        except SkewNormalizationFailure as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+    assert list(map(type, results[0])) == list(map(type, results[1]))
 
 
 def test_congruence_transport_preserves_the_form():
