@@ -84,14 +84,13 @@ def apolar_rank(target: HomogPoly, op_degree: int) -> int:
 def perp_slice(target: HomogPoly, op_degree: int) -> GradedSlice:
     """The annihilator slice in the dual alphabet at ``op_degree``.
 
-    For ``op_degree`` above the target degree every operator annihilates,
-    so the full slice is returned.
+    Above the target degree the pairing matrix has no rows, so every
+    operator annihilates and the kernel is the full slice.
     """
-    dual = target.alphabet.dual()
-    if op_degree > target.degree:
-        return GradedSlice.full(dual, op_degree, target.field)
+    if op_degree < 0:
+        raise UsageError("negative operator degree")
     ker = kernel_basis(pairing_matrix(target, op_degree))
-    return GradedSlice(dual, op_degree, target.field, ker)
+    return GradedSlice(target.alphabet.dual(), op_degree, target.field, ker)
 
 
 def partials_slice(target: HomogPoly, op_degree: int) -> GradedSlice:
@@ -167,7 +166,8 @@ def dual_socle_generator(gens: Sequence[HomogPoly], k: int) -> HomogPoly:
     grlex coefficient normalized to 1. Raises ``NotGorensteinSocle``
     otherwise.  Only the generator blocks up to the first with at least
     n_cols - 1 rows in all are eliminated; the later blocks check the
-    vector found (``kernel_line``).
+    vector found (``kernel_line``).  A generator above degree k
+    annihilates the whole piece: its block has no rows.
     """
     if not gens:
         raise UsageError("need at least one generator")
@@ -182,8 +182,6 @@ def dual_socle_generator(gens: Sequence[HomogPoly], k: int) -> HomogPoly:
     rows: list[list] = []
     bounds = []
     for g in gens:
-        if g.degree > k:
-            continue
         if g.degree not in walks:
             walks[g.degree] = list(_contractions(nvars, g.degree, k - g.degree))
         block = [[field.zero] * n_cols for _ in range(dim_homog(nvars, k - g.degree))]

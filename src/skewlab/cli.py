@@ -109,8 +109,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _seeded_skew(args, field: Field, m: int):
-    rng = SplitMix64(args.seed)
-    return skew_linear(random_skew_linear(args.n, m, field, rng))
+    return random_skew_linear(args.n, m, field, SplitMix64(args.seed))
 
 
 def _seeded_dual_form(args, field: Field):
@@ -162,23 +161,18 @@ def cmd_correspond(args) -> dict:
 
     if args.direction == "from-matrix":
         if args.infile is not None:
-            pm = skew_linear(poly_matrix_from_json(_load_json(args.infile)))
+            pm = poly_matrix_from_json(_load_json(args.infile))
+        elif args.n is None:
+            raise UsageError("need --n to generate an instance")
         else:
-            if args.n is None:
-                raise UsageError("need --n to generate an instance")
             pm = _seeded_skew(args, field, 3)
         form, cert = matrix_to_form(pm)
-        payload["config"] = _config_stanza(args, pm.field)
-        payload["matrix"] = poly_matrix_to_json(pm, "skew-linear")
-        payload["form"] = poly_to_json(form)
-        payload["certificate"] = cert.to_json()
-        return payload
-
-    if args.infile is not None:
-        form = poly_from_json(_load_json(args.infile))
     else:
-        form = _seeded_dual_form(args, field)
-    pm, cert = form_to_matrix(form)
+        if args.infile is not None:
+            form = poly_from_json(_load_json(args.infile))
+        else:
+            form = _seeded_dual_form(args, field)
+        pm, cert = form_to_matrix(form)
     payload["config"] = _config_stanza(args, form.field)
     payload["form"] = poly_to_json(form)
     payload["matrix"] = poly_matrix_to_json(pm, "skew-linear")

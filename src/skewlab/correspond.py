@@ -173,17 +173,17 @@ def _skew_combinations(layers: list[Matrix], n: int, field: Field) -> list:
     be skew for k = 0, 1, 2.  The unknowns are not the n^2 entries of Q.
     One reduced echelon form of [T_0 | I] has rows [R | E] with E T_0 = R,
     R the reduced echelon form of T_0 with pivots c_i, and rows [0 | u]
-    whose u are a basis U_0 of the left kernel of T_0; R's free columns
-    give a basis W_0 of its right kernel, r_0 = |W_0|.  P, with row c_i
-    equal to E_i and zeros elsewhere, has P T_0 = I - W_0 F^T, F
-    selecting W_0's free coordinates.  So Q T_0 is skew exactly when
-    Q = S P + C U_0^T for a skew S with S W_0 = 0 and an n x r_0 matrix
-    C, and the map (S, C) -> Q is a bijection: Q T_0 = S gives S back,
-    and Q - S P has its rows in the span of U_0.  All of this holds with
-    P scaled by one integer and each u and each W_0 vector by its own,
-    and Q T_k is skew when T_k times an integer is, so the rows are
-    built over ZZ: QQ runs no ``Fraction`` arithmetic, F_p reduces in
-    the elimination.
+    whose u are a basis U_0 of the left kernel of T_0; W_0, the
+    ``kernel_basis`` of T_0 with r_0 = |W_0|, puts a unit at each free
+    column of R.  P, with row c_i equal to E_i and zeros elsewhere, has
+    P T_0 = I - W_0 F^T, F selecting W_0's free coordinates.  So Q T_0 is
+    skew exactly when Q = S P + C U_0^T for a skew S with S W_0 = 0 and
+    an n x r_0 matrix C, and the map (S, C) -> Q is a bijection:
+    Q T_0 = S gives S back, and Q - S P has its rows in the span of U_0.
+    All of this holds with P scaled by one integer and each u and each
+    W_0 vector by its own, and Q T_k is skew when T_k times an integer
+    is, so the rows are built over ZZ: QQ runs no ``Fraction``
+    arithmetic, F_p reduces in the elimination.
 
     The unknowns are the C(n, 2) entries s_ij (i < j) of S, then C
     row-major.  Write Q = X K, X = [S[:, c] | C] and K the rows E_i and
@@ -201,24 +201,17 @@ def _skew_combinations(layers: list[Matrix], n: int, field: Field) -> list:
     of any other solution space.
     """
     t0, t1, t2 = (_scaled(t.rows, n) for t in layers)
+    w0 = integer_rows(kernel_basis(layers[0]))
     echelon = row_space_canonical(
         Matrix(field, [row + [int(i == j) for j in range(n)] for i, row in enumerate(t0)], 2 * n)
     )
     pivots = [next(c for c, a in enumerate(row) if a) for row in echelon]
-    rho = sum(c < n for c in pivots)
-    free = [c for c in range(n) if c not in pivots[:rho]]
-    w0 = []
-    for f in free:
-        w = [0] * n
-        w[f] = 1
-        for row, c in zip(echelon, pivots[:rho]):
-            w[c] = -row[f]
-        w0.append(w)
-    w0 = integer_rows(w0)
+    r0 = len(w0)
+    rho = n - r0
     k_rows = _scaled([row[n:] for row in echelon[:rho]], n) + integer_rows(
         [row[n:] for row in echelon[rho:]]
     )
-    r0, half = n - rho, n * (n - 1) // 2
+    half = n * (n - 1) // 2
 
     def s_at(a, j):
         # the unknown s_lo,hi of S[a][j], j != a, and the sign it carries there

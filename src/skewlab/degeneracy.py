@@ -256,7 +256,7 @@ def verify_in_image(datum: ProjectionDatum) -> tuple[PolyMatrix, Matrix, Certifi
     field = datum.g.field
     ambient = dim_homog(3, (datum.n - 1) // 2)
     p_mat = Matrix.from_columns(field, [list(q.coeffs) for q in pfs], ambient)
-    cols = solve(p_mat, [list(b.coeffs) for b in datum.complement.basis_polys()])
+    cols = solve(p_mat, datum.complement.basis)
     if cols is None:
         raise InternalError("annihilator basis not in the sub-Pfaffian span")
     a_mat = Matrix.from_columns(field, cols, datum.n)
@@ -445,6 +445,8 @@ def even_scroll_sample(pencil: PolyMatrix, count: int) -> ScrollSample:
     raised only when the full plane is exhausted without a single curve
     point of corank two.
     """
+    if count < 1:
+        raise RangeError(f"sample count must be at least 1, got {count}")
     pm = skew_linear(pencil)
     n = pm.nrows
     if n % 2 or n < 4:

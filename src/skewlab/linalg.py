@@ -62,11 +62,6 @@ class Matrix:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
-
-    @classmethod
     def from_columns(cls, field: Field, cols: Sequence[Sequence], nrows: int) -> "Matrix":
         cols = [list(c) for c in cols]
         if any(len(c) != nrows for c in cols):

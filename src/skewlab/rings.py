@@ -422,11 +422,6 @@ class GradedSlice:
             first._check_compatible(q, same_degree=True)
         return cls(first.alphabet, first.degree, first.field, [q.coeffs for q in polys])
 
-    @classmethod
-    def full(cls, alphabet: Alphabet, degree: int, field: Field) -> "GradedSlice":
-        amb = dim_homog(alphabet.nvars, degree)
-        return cls(alphabet, degree, field, Matrix.identity(field, amb).rows)
-
     @property
     def dim(self) -> int:
         return len(self.basis)

@@ -5,8 +5,8 @@ Gauss-Jordan elimination with its determinant factor, which the tests
 use as the oracle for echelon forms and determinants, the point-by-point
 scan of the plane that is the oracle for even-order scroll sampling, and
 small helpers built on the package: scalar Pfaffians, products with
-matrices, random scalar matrices, slice membership and Euler
-characteristics.
+matrices, random scalar matrices, unit vectors, slice membership and
+Euler characteristics.
 """
 
 import pytest
@@ -255,6 +255,11 @@ def contains(slc, poly):
     if (poly.alphabet, poly.degree) != (slc.alphabet, slc.degree):
         return False
     return rank(Matrix(slc.field, slc.basis + [poly.coeffs])) == slc.dim
+
+
+def unit_vectors(field, n):
+    """The rows of the n x n identity over ``field``."""
+    return [[field.from_int(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def variable(alphabet, i, field):

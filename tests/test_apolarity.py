@@ -17,6 +17,7 @@ from skewlab import (
     NotGorensteinSocle,
     OddDegree,
     SplitMix64,
+    UsageError,
     apolar_rank,
     apolarity,
     catalecticant_rank,
@@ -38,7 +39,7 @@ from skewlab import (
 )
 from skewlab.randomness import random_form, random_nondegenerate_dual_form, random_scalar
 
-from conftest import contains, mul_vec
+from conftest import contains, mul_vec, unit_vectors
 
 SYMS = sympy.symbols("t0 t1 t2")
 
@@ -112,15 +113,25 @@ def test_apolar_pairing_diagonal():
 
 
 def test_perp_slice_of_monomial_power():
-    # operators of degree 2 killing d0^4: everything except y0^2
-    f = dpoly("d0^4")
-    perp = perp_slice(f, 2)
-    assert perp.alphabet == y_vars() and perp.degree == 2
-    assert perp.dim == dim_homog(3, 2) - 1
-    assert contains(perp, ypoly("y1^2"))
-    assert not contains(perp, ypoly("y0^2"))
-    # beyond the degree of the form everything annihilates
-    assert perp_slice(f, 5).dim == dim_homog(3, 5)
+    for field in (QQ, GF(101)):
+        # operators of degree 2 killing d0^4: everything except y0^2
+        f = dpoly("d0^4", field)
+        perp = perp_slice(f, 2)
+        assert perp.alphabet == y_vars() and perp.degree == 2
+        assert perp.dim == dim_homog(3, 2) - 1
+        assert contains(perp, ypoly("y1^2", field))
+        assert not contains(perp, ypoly("y0^2", field))
+        # beyond the degree of the form everything annihilates: the pairing
+        # matrix has no rows, and its kernel is the full slice
+        above = perp_slice(f, 5)
+        assert (above.alphabet, above.degree, above.field) == (y_vars(), 5, field)
+        assert above.basis == unit_vectors(field, dim_homog(3, 5))
+
+
+def test_perp_slice_rejects_a_negative_degree():
+    # it used to return a dimension-0 slice in degree -1
+    with pytest.raises(UsageError, match="negative operator degree"):
+        perp_slice(dpoly("d0^4"), -1)
 
 
 def test_partials_slice_dims():
@@ -250,6 +261,8 @@ def test_dual_socle_generator_complete_intersection():
     gens = [ypoly("y0^2"), ypoly("y1^2"), ypoly("y2^2")]
     f = dual_socle_generator(gens, 3)
     assert f == dpoly("d0*d1*d2")
+    # generators of degree 4 annihilate every cubic: their blocks are empty
+    assert dual_socle_generator(gens + [ypoly("y0^4"), ypoly("y1^3*y2")], 3) == f
 
 
 def test_dual_socle_generator_degree_zero():

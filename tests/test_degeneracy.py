@@ -223,6 +223,10 @@ def test_even_scroll_guards():
         even_scroll_sample(seeded_pencil(5, GF(101), 1), 5)
     with pytest.raises(RangeError):
         even_scroll_sample(seeded_pencil(6, QQ, 1), 5)
+    # a count below 1 used to return one point with exhausted false
+    for count in (0, -5):
+        with pytest.raises(RangeError, match=f"sample count must be at least 1, got {count}"):
+            even_scroll_sample(seeded_pencil(6, GF(101), 41), count)
 
 
 def test_pointless_curve_raises(pointless_pencil):

@@ -36,7 +36,7 @@ from skewlab import (
 )
 from skewlab.randomness import random_form
 
-from conftest import contains, rref_oracle, variable
+from conftest import contains, rref_oracle, unit_vectors, variable
 
 
 def test_alphabets():
@@ -187,15 +187,15 @@ def test_slice_contains_and_sum():
     b = GradedSlice.from_polys([y1])
     assert contains(a, y0.scale(Fraction(4)))
     assert not contains(a, y1) and not contains(b, y0)
-    full = GradedSlice.full(y, 1, QQ)
+    full = GradedSlice(y, 1, QQ, unit_vectors(QQ, 3))
     assert full.dim == 3 and contains(full, y2)
     assert GradedSlice(y, 1, QQ, []).dim == 0
 
 
 def test_slices_equal_requires_same_grading():
     y = y_vars()
-    a = GradedSlice.full(y, 1, QQ)
-    b = GradedSlice.full(y, 2, QQ)
+    a = GradedSlice(y, 1, QQ, unit_vectors(QQ, 3))
+    b = GradedSlice(y, 2, QQ, unit_vectors(QQ, 6))
     with pytest.raises(UsageError):
         slices_equal(a, b)
 
