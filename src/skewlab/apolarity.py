@@ -99,13 +99,10 @@ def partials_slice(target: HomogPoly, op_degree: int) -> GradedSlice:
     That is the column span of ``pairing_matrix``, whose columns are the
     derivatives by the operator monomials.
     """
-    field = target.field
     if op_degree < 0:
         raise UsageError("negative derivative order")
-    if op_degree > target.degree:
-        return GradedSlice(target.alphabet, 0, field, [])
     derivatives = pairing_matrix(target, op_degree).transpose().rows
-    return GradedSlice(target.alphabet, target.degree - op_degree, field, derivatives)
+    return GradedSlice(target.alphabet, target.degree - op_degree, target.field, derivatives)
 
 
 def catalecticant_rank(target: HomogPoly) -> int:
@@ -118,8 +115,6 @@ def catalecticant_rank(target: HomogPoly) -> int:
 def is_nondegenerate(target: HomogPoly) -> bool:
     """True when the middle catalecticant has full rank."""
     half = target.degree // 2
-    if target.degree % 2:
-        raise OddDegree("nondegeneracy is a middle-catalecticant condition")
     return catalecticant_rank(target) == dim_homog(target.alphabet.nvars, half)
 
 

@@ -14,7 +14,7 @@ so every chase entry is an ``int | AffineForm``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
@@ -276,11 +276,6 @@ def slot3(
 # -- chase results -------------------------------------------------------------
 
 
-def _fields_dict(obj) -> dict:
-    """The dataclass fields of ``obj`` by name, without the copies of ``asdict``."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
 @dataclass
 class ChaseResult:
     """Interval cohomology vector produced by a dimension chase."""
@@ -300,7 +295,7 @@ class ChaseResult:
         return tuple(lo for lo, _hi in self.intervals)
 
     def to_json(self) -> dict:
-        return {**_fields_dict(self), "exact": self.exact, "vector": self.vector}
+        return {**vars(self), "exact": self.exact, "vector": self.vector}
 
 
 def koszul_chase(terms: Sequence[Sequence[int]], name: str) -> ChaseResult:
@@ -436,14 +431,8 @@ class H0FResult:
     def exact(self) -> bool:
         return self.interval[0] == self.interval[1]
 
-    @property
-    def value(self) -> int:
-        if not self.exact:
-            raise RangeError("interval result has no single value")
-        return self.interval[0]
-
     def to_json(self) -> dict:
-        return {**_fields_dict(self), "exact": self.exact}
+        return {**vars(self), "exact": self.exact}
 
 
 def h0F(m: int, n: int) -> H0FResult:
@@ -453,7 +442,6 @@ def h0F(m: int, n: int) -> H0FResult:
     are chased in order so interval variables from the first can cancel
     in the second.
     """
-    _require_grid(m, n)
     tables = closed_form_tables(m, n)
     ctx = ChaseContext()
     trace: list[str] = []
@@ -529,7 +517,7 @@ class DimensionLedger:
     flagged: bool
 
     def to_json(self) -> dict:
-        return {**_fields_dict(self), "h0f": self.h0f.to_json()}
+        return {**vars(self), "h0f": self.h0f.to_json()}
 
 
 def dimension_ledger(m: int, n: int) -> DimensionLedger:
@@ -539,7 +527,6 @@ def dimension_ledger(m: int, n: int) -> DimensionLedger:
     closed codimension formula, and for odd n the three independent
     formula routes must agree: dimGr + delta = dimH.
     """
-    _require_grid(m, n)
     res = h0F(m, n)
     dg = dim_gr(m, n)
     delta = (res.interval[0] - dg, res.interval[1] - dg)

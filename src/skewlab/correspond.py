@@ -48,12 +48,9 @@ class Certificate:
 
     def to_json(self) -> dict:
         return {
-            "n": self.n,
-            "direction": self.direction,
+            **vars(self),
             "hilbert": list(self.hilbert),
-            "cat_rank": self.cat_rank,
             "ideal_slice": self.ideal_slice.to_json(),
-            "checks": dict(self.checks),
             "ok": self.ok,
         }
 

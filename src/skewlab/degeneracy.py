@@ -11,10 +11,11 @@ projection-of-Veronese model with its certificates.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 
 from .apolarity import mirror, partials_slice, perp_slice
+from .cohomology import _require_grid
 from .correspond import Certificate, _require_char, form_to_matrix
 from .errors import (
     DegenerateG,
@@ -53,7 +54,7 @@ class LocusProfile:
     smooth: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**vars(self)}
 
 
 def locus_profile(n: int, m: int) -> LocusProfile:
@@ -62,8 +63,7 @@ def locus_profile(n: int, m: int) -> LocusProfile:
     The deeper rank <= m-2 locus is the singular set of the first; it is
     empty (so the locus is smooth) exactly when n > 2m - 3.
     """
-    if not (2 < m < n - 1):
-        raise RangeError(f"need 2 < m < n - 1, got m={m}, n={n}")
+    _require_grid(m, n)
     return LocusProfile(
         n=n,
         m=m,
@@ -186,14 +186,12 @@ class ProjectionDatum:
 
     def to_json(self) -> dict:
         return {
-            "n": self.n,
-            "r": self.r,
+            **vars(self),
             "g": poly_to_json(self.g),
             "center_dim": self.center.dim,
             "complement_dim": self.complement.dim,
             "center": self.center.to_json(),
             "complement": self.complement.to_json(),
-            "direct_sum_ok": self.direct_sum_ok,
         }
 
 
@@ -287,23 +285,7 @@ class ScrollSample:
     exhausted: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
-
-
-def _pf_chart_tables(pf: HomogPoly):
-    """Coefficient tables of the Pfaffian on the three standard charts.
-
-    Chart one: rows[k][j] is the coefficient of a^j b^k in pf(1, a, b).
-    Chart two: row[k] is the coefficient of b^k in pf(0, 1, b).
-    Chart three: the constant pf(0, 0, 1).
-    """
-    d = pf.degree
-    rows = [[0] * (d - k + 1) for k in range(d + 1)]
-    for c, (_i, j, k) in pf.terms():
-        rows[k][j] = c
-    line = [pf.coeff((0, d - k, k)) for k in range(d + 1)]
-    last = pf.coeff((0, 0, d))
-    return rows, line, last
+        return {**vars(self), "points": list(map(vars, self.points))}
 
 
 def _horner(coeffs, x, p):
@@ -412,19 +394,25 @@ def _line_roots(coeffs, p):
     return sorted(_split(g, p, SplitMix64(0)))
 
 
-def _curve_points(rows, line, last, p):
+def _curve_points(pf, p):
     """The F_p points of the Pfaffian curve in chart order, with scan positions.
 
     The position of a point is the number of chart points up to and
     including it, in the order (1, a, b) for a, b in F_p, then (0, 1, b),
-    then (0, 0, 1).
+    then (0, 0, 1).  One table serves the three charts: rows[k][j] is the
+    coefficient of a^j b^k in pf(1, a, b), and row k ends at that of
+    y1^(d-k) y2^k, so the last entries give pf(0, 1, b) and pf(0, 0, 1).
     """
+    d = pf.degree
+    rows = [[0] * (d - k + 1) for k in range(d + 1)]
+    for c, (_i, j, k) in pf.terms():
+        rows[k][j] = c
     for a in range(p):
         for b in _line_roots([_horner(row, a, p) for row in rows], p):
             yield (1, a, b), a * p + b + 1
-    for b in _line_roots(line, p):
+    for b in _line_roots([row[-1] for row in rows], p):
         yield (0, 1, b), p * p + b + 1
-    if last % p == 0:
+    if rows[-1][-1] % p == 0:
         yield (0, 0, 1), p * p + p + 1
 
 
@@ -464,13 +452,10 @@ def even_scroll_sample(pencil: PolyMatrix, count: int) -> ScrollSample:
         raise DegenerateInput("pencil has identically zero Pfaffian")
     flipped = tensor_flip(pm)
 
-    rows, line, last = _pf_chart_tables(pf)
-    d = pf.degree
-
     points: list[ScrollPoint] = []
     skipped = 0
     scanned = p * p + p + 1
-    for nu, position in _curve_points(rows, line, last, p):
+    for nu, position in _curve_points(pf, p):
         ker = kernel_basis(evaluate_matrix(pm, nu))
         if len(ker) != 2:
             skipped += 1
@@ -499,7 +484,7 @@ def even_scroll_sample(pencil: PolyMatrix, count: int) -> ScrollSample:
     return ScrollSample(
         n=n,
         p=p,
-        curve_degree=d,
+        curve_degree=pf.degree,
         points=points,
         skipped_corank=skipped,
         scanned=scanned,

@@ -8,6 +8,7 @@ each sampler.
 
 from __future__ import annotations
 
+from .apolarity import is_nondegenerate
 from .errors import DegenerateForm, InternalError, UsageError
 from .fields import Field
 from .rings import Alphabet, HomogPoly, dim_homog
@@ -101,8 +102,6 @@ MAX_FORM_DRAWS = 64
 
 def random_nondegenerate_dual_form(degree: int, field: Field, rng: SplitMix64) -> HomogPoly:
     """Random dual form with full middle catalecticant rank."""
-    from .apolarity import is_nondegenerate
-
     alphabet = Alphabet("D", 3)
     for _ in range(MAX_FORM_DRAWS):
         f = random_form(alphabet, degree, field, rng)

@@ -406,6 +406,8 @@ class GradedSlice:
     __slots__ = ("alphabet", "degree", "field", "basis")
 
     def __init__(self, alphabet: Alphabet, degree: int, field: Field, vectors: Sequence[Sequence]):
+        if degree < 0:
+            raise DegreeMismatch("negative degree")
         amb = dim_homog(alphabet.nvars, degree)
         if any(len(v) != amb for v in vectors):
             raise DegreeMismatch("slice vector has wrong ambient dimension")

@@ -310,7 +310,13 @@ def test_h0f_frozen_values():
     want = {(3, 5): 21, (3, 6): 36, (3, 7): 61, (3, 8): 78, (3, 9): 126, (4, 6): 44, (4, 7): 68}
     for (m, n), value in want.items():
         res = h0F(m, n)
-        assert res.exact and res.value == value and not res.flagged
+        assert res.exact and res.interval == (value, value) and not res.flagged
+
+
+def test_h0f_and_ledger_guards():
+    for fn in (h0F, dimension_ledger):
+        with pytest.raises(RangeError):
+            fn(2, 5)
 
 
 def test_h0f_flagged_family():

@@ -11,10 +11,12 @@ change first on even ones, each for ``BENCHMARK.json``'s ``run_seconds``.
 Every run's record (the run metadata and the result line) goes to
 ``BENCH_<label>.json`` in the current directory, and the table printed
 at the end gives, per workload and metric, each side's q1 / median / q3,
-the number of pairs the change won (ties count for neither side) and the
-change of the median.  A metric's better direction is read from the
-change's ``BENCHMARK.json``.  Standard library only; each checkout needs
-its own ``perfbench/``.
+the number of pairs the change won (ties count for neither side), the
+change of the median and, for an end-to-end metric, its bound and
+whether the change's median is worse than the parent's by more than it.
+A metric's better direction and bound are read from the change's
+``BENCHMARK.json``.  Standard library only; each checkout needs its own
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -62,12 +64,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def table(runs: list[dict], better: dict[str, str]) -> list[str]:
-    """Markdown rows: per workload and metric, both sides' quartiles and the wins."""
+def table(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> list[str]:
+    """Markdown rows: per workload and metric, both sides' quartiles and the wins.
+
+    The bound column reads ``25%: ok`` for an end-to-end metric whose
+    change median is within its bound of the parent's, ``25%: WORSE``
+    when it is worse by more, and is empty for a per-layer metric.
+    """
     lines = [
         "| workload | metric | parent q1 / median / q3 | change q1 / median / q3 "
-        "| change better | median change |",
-        "|---|---|---|---|---|---|",
+        "| change better | median change | bound |",
+        "|---|---|---|---|---|---|---|",
     ]
     workloads = list(dict.fromkeys(r["workload"] for r in runs))
     for workload in workloads:
@@ -91,9 +98,14 @@ def table(runs: list[dict], better: dict[str, str]) -> list[str]:
             )
             qp, qc = quartiles(vals["parent"]), quartiles(vals["change"])
             delta = f"{(qc[1] / qp[1] - 1) * 100:+.1f}%" if qp[1] else "n/a"
+            bound = ""
+            if name in bounds and qp[1]:
+                worse = sign * (qc[1] / qp[1] - 1) < -bounds[name]
+                bound = f"{bounds[name]:.0%}: {'WORSE' if worse else 'ok'}"
             lines.append(
                 f"| {workload} | `{name}` | {' / '.join(f'{v:.4g}' for v in qp)} "
-                f"| {' / '.join(f'{v:.4g}' for v in qc)} | {wins}/{len(pairs)} | {delta} |"
+                f"| {' / '.join(f'{v:.4g}' for v in qc)} | {wins}/{len(pairs)} | {delta} "
+                f"| {bound} |"
             )
     return lines
 
@@ -113,6 +125,7 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
     out_path = f"BENCH_{args.label}.json"
     runs: list[dict] = []
@@ -127,7 +140,7 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: {shown['value']:.4g}", file=sys.stderr)
                 with open(out_path, "w", encoding="utf-8") as fh:
                     json.dump({"seconds": seconds, "trace": args.trace, "runs": runs}, fh, indent=1)
-    print("\n".join(table(runs, better)))
+    print("\n".join(table(runs, better, bounds)))
     return 0
 
 
