@@ -29,13 +29,7 @@ from .errors import (
     UsageError,
 )
 from .fields import GF, QQ, Field, is_prime
-from .linalg import (
-    Matrix,
-    kernel_basis,
-    rank,
-    row_space_canonical,
-    solve,
-)
+from .linalg import Matrix, kernel_basis, rank, row_space_canonical
 from .rings import (
     Alphabet,
     GradedSlice,

@@ -18,6 +18,7 @@ import sys
 
 from .apolarity import mirror
 from .cohomology import (
+    TWISTS,
     agreement,
     closed_form_tables,
     dimension_ledger,
@@ -281,7 +282,7 @@ def cmd_cohomology(args) -> dict | str:
         raise UsageError("cohomology needs --m and --n (or --grid)")
     m, n = args.m, args.n
     tables = closed_form_tables(m, n)
-    chases = {twist: sheaf_chase(m, n, twist) for twist in ("plain", "u1", "omega2-u1")}
+    chases = {twist: sheaf_chase(m, n, twist) for twist in TWISTS}
     return {
         "command": "cohomology",
         "m": m,

@@ -110,14 +110,13 @@ def g_r_vector(n: int, r: int) -> tuple[int, ...]:
     p = n - r - 1
     mid = tuple(n * v for v in bott(n - 1, p, n - 2 * r + 1))
     right = bott(n - 1, p, n - 2 * r + 2)
+    ctx = ChaseContext()
     out = []
     t_prev = 0
     for i in range(n):
-        if right[i] == 0:
-            t_i = 0
-        elif mid[i] == 0:
-            t_i = right[i]
-        else:
+        # t_i, the rank of H^i(right) -> H^{i+1}(G_r), lies in max(0, R - M) <= t_i <= R
+        t_i = ctx.new_rank_var(right[i], mid[i])
+        if isinstance(t_i, AffineForm):
             raise AmbiguousChase(
                 f"three-term chase not forced at n={n}, r={r}, q={i}"
             )

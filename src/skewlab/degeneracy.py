@@ -24,7 +24,7 @@ from .errors import (
     NoPointsFound,
     RangeError,
 )
-from .linalg import Matrix, kernel_basis, rank, solve
+from .linalg import Matrix, kernel_basis, rank, row_space_canonical
 from .randomness import SplitMix64, random_point
 from .rings import GradedSlice, HomogPoly, dim_homog, poly_to_json
 from .skew import (
@@ -246,19 +246,24 @@ def verify_in_image(datum: ProjectionDatum) -> tuple[PolyMatrix, Matrix, Certifi
 
     Builds the skew pencil of the dual form, then expresses the
     annihilator basis in the sub-Pfaffian basis; the change of basis
-    must be invertible.  Returns the pencil, the change of basis, and
-    the pencil's certificate.
+    must be invertible.  The reduced echelon form of the rows
+    [pf_i | e_i] has rows [R | E] with E P = R, P the sub-Pfaffian rows,
+    and R the canonical basis of their span.  So the annihilator lies in
+    that span exactly when R is its canonical basis; then row j of E
+    writes the j-th annihilator vector in the sub-Pfaffians, and the
+    change of basis is E transposed.  Returns the pencil, the change of
+    basis, and the pencil's certificate.
     """
     pencil, cert = form_to_matrix(mirror(datum.g))
     pfs, _signed = sub_pfaffians(pencil)
-    field = datum.g.field
-    ambient = dim_homog(3, (datum.n - 1) // 2)
-    p_mat = Matrix.from_columns(field, [list(q.coeffs) for q in pfs], ambient)
-    cols = solve(p_mat, datum.complement.basis)
-    if cols is None:
+    n, field = datum.n, datum.g.field
+    ambient = dim_homog(3, (n - 1) // 2)
+    rows = [list(q.coeffs) + [int(i == j) for j in range(n)] for i, q in enumerate(pfs)]
+    echelon = row_space_canonical(Matrix(field, rows, ambient + n))
+    if [row[:ambient] for row in echelon] != datum.complement.basis:
         raise InternalError("annihilator basis not in the sub-Pfaffian span")
-    a_mat = Matrix.from_columns(field, cols, datum.n)
-    if rank(a_mat) < datum.n:
+    a_mat = Matrix(field, [row[ambient:] for row in echelon], n).transpose()
+    if rank(a_mat) < n:
         raise InternalError("sub-Pfaffian change of basis is singular")
     return pencil, a_mat, cert
 

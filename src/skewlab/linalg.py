@@ -7,11 +7,11 @@ row echelon form.  ``rank`` reads the pivot count off it.  One back
 pass, ``_back``, turns the echelon rows into the free columns of the
 reduced echelon form, bottom-up; its other columns are known (a unit at
 each row's own pivot, zeros at the other pivots).  ``kernel_basis``,
-``kernel_line``, ``solve`` and ``row_space_canonical`` are thin
-wrappers over those free columns, ``_echelon``; ``kernel_line`` reduces
-only a prefix of the rows and checks the rest against the vector it
-finds.  Reduced echelon forms are fully normalized and kernel bases put
-a unit at their own free coordinate, so every result is canonical.
+``kernel_line`` and ``row_space_canonical`` are thin wrappers over those
+free columns, ``_echelon``; ``kernel_line`` reduces only a prefix of the
+rows and checks the rest against the vector it finds.  Reduced echelon
+forms are fully normalized and kernel bases put a unit at their own free
+coordinate, so every result is canonical.
 Matrices are dense lists of lists, and a subspace is a list of its
 basis vectors: ``kernel_basis`` and ``kernel_line`` return the kernel
 that way, and ``row_space_canonical`` the nonzero rows of the reduced
@@ -46,30 +46,17 @@ class Matrix:
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
-    def __init__(self, field: Field, rows: Sequence[Sequence], ncols: int | None = None):
+    def __init__(self, field: Field, rows: Sequence[Sequence], ncols: int):
         rows = [list(r) for r in rows]
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise UsageError("ragged rows")
-        elif ncols is None:
-            raise UsageError("empty matrix needs an explicit column count")
+        if any(len(r) != ncols for r in rows):
+            raise UsageError(f"every row needs {ncols} entries")
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
         self.rows = rows
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_columns(cls, field: Field, cols: Sequence[Sequence], nrows: int) -> "Matrix":
-        cols = [list(c) for c in cols]
-        if any(len(c) != nrows for c in cols):
-            raise UsageError("column length mismatch")
-        return cls(field, [[c[i] for c in cols] for i in range(nrows)], len(cols))
-
     def transpose(self) -> "Matrix":
-        return Matrix.from_columns(self.field, self.rows, self.ncols)
+        return Matrix(self.field, [[row[j] for row in self.rows] for j in range(self.ncols)], self.nrows)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -315,29 +302,6 @@ def kernel_line(mat: Matrix, prefix: int) -> list[list]:
         if any(field.from_int(sum(map(mul, row, v))) for row in rest):
             return []
     return ker
-
-
-def solve(mat: Matrix, rhs: Sequence[Sequence]) -> list[list] | None:
-    """One solution of ``mat x = b`` for each b in ``rhs``, with free variables set to zero.
-
-    All the systems share one elimination of ``mat`` beside its
-    right-hand sides.  Returns ``None`` when any of them is inconsistent
-    (a signal, not an error).
-    """
-    if any(len(b) != mat.nrows for b in rhs):
-        raise DegreeMismatch("right-hand side length mismatch")
-    field, ncols = mat.field, mat.ncols
-    rows = [row + [b[i] for b in rhs] for i, row in enumerate(mat.rows)]
-    pivots, _, cols = _echelon(rows, field, ncols + len(rhs))
-    if pivots and pivots[-1] >= ncols:
-        return None
-    sols = []
-    for col in cols[len(cols) - len(rhs) :]:
-        x = [field.zero] * ncols
-        for pc, a in zip(pivots, col):
-            x[pc] = a
-        sols.append(x)
-    return sols
 
 
 def row_space_canonical(mat: Matrix) -> list[list]:

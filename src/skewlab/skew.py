@@ -49,12 +49,13 @@ class PolyMatrix:
             raise DegreeMismatch("one coefficient layer per monomial is needed")
         if not layers[0] or not layers[0][0]:
             raise UsageError("empty polynomial matrix")
+        self.nrows, self.ncols = len(layers[0]), len(layers[0][0])
+        if any(list(map(len, layer)) != [self.ncols] * self.nrows for layer in layers):
+            raise UsageError(f"every coefficient layer must be {self.nrows} x {self.ncols}")
         self.alphabet = alphabet
         self.degree = degree
         self.field = field
         self.layers = layers
-        self.nrows = len(layers[0])
-        self.ncols = len(layers[0][0])
 
     @classmethod
     def from_entries(cls, entries: Sequence[Sequence[HomogPoly]]) -> "PolyMatrix":

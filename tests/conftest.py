@@ -228,7 +228,7 @@ def tensor_unflip(pm):
 def congruence(pm, p_mat):
     """P^T (pm) P for a constant square ``Matrix`` P, one coefficient layer at a time."""
     p_t = p_mat.transpose()
-    layers = [p_t.mul(Matrix(pm.field, a)).mul(p_mat).rows for a in pm.layers]
+    layers = [p_t.mul(Matrix(pm.field, a, pm.ncols)).mul(p_mat).rows for a in pm.layers]
     return PolyMatrix(pm.alphabet, pm.degree, pm.field, layers)
 
 
@@ -254,7 +254,7 @@ def contains(slc, poly):
     """True when ``poly`` lies in the graded slice ``slc``."""
     if (poly.alphabet, poly.degree) != (slc.alphabet, slc.degree):
         return False
-    return rank(Matrix(slc.field, slc.basis + [poly.coeffs])) == slc.dim
+    return rank(Matrix(slc.field, slc.basis + [poly.coeffs], len(poly.coeffs))) == slc.dim
 
 
 def unit_vectors(field, n):

@@ -84,6 +84,13 @@ def test_certificate_reuses_hilbert_function_and_can_fail():
     assert bad.failed() == ["annihilator_dim"]
 
 
+def test_a_pencil_can_fail_hilbert_maximal():
+    # the CLI's ``correspond from-matrix --n 5 --p 5 --seed 1``, which exits 3
+    failed = "hilbert_maximal, perp_full_above_degree"
+    with pytest.raises(DegenerateInput, match=f"^pencil fails correspondence checks: {failed}$"):
+        matrix_to_form(random_skew_linear(5, 3, GF(5), SplitMix64(1)))
+
+
 def test_products_of_the_generators_must_fill_the_next_degree():
     # d0^4 + d1^4 has an annihilator generator in degree 4 = (n + 1) / 2,
     # y0^4 - y1^4, that no cubic in the annihilator times a linear form gives
@@ -241,7 +248,7 @@ def test_line_solves_eliminate_only_the_rows_they_need(monkeypatch):
 
 def test_qq_skew_failure_states_the_exact_dimension():
     # with zero layers every Q is a solution: the kernel is all n^2 entries
-    zero = Matrix(QQ, [[QQ.zero] * 5 for _ in range(5)])
+    zero = Matrix(QQ, [[QQ.zero] * 5 for _ in range(5)], 5)
     with pytest.raises(SkewNormalizationFailure, match="has dimension 25, expected 1"):
         _skew_combinations([zero] * 3, 5, QQ)
 

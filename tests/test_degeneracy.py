@@ -9,6 +9,7 @@ from skewlab import (
     GF,
     QQ,
     DegenerateG,
+    InternalError,
     Matrix,
     NoPointsFound,
     RangeError,
@@ -122,7 +123,7 @@ def test_incidence_with_four_columns_tests_each_minor_by_rank(field):
     assert res.n_minors == math.comb(7, 4)
     a = evaluate_matrix(flipped, x)
     for rows_sel in itertools.combinations(a.rows, 4):
-        assert det(Matrix(field, rows_sel)) == field.zero
+        assert det(Matrix(field, rows_sel, a.ncols)) == field.zero
     # at random points the rank is full and some minor is not zero
     for _ in range(3):
         res = incidence_check(flipped, random_point(7, field, rng))
@@ -180,6 +181,15 @@ def test_verify_in_image_closes_the_loop():
         assert a_mat.nrows == n and a_mat.ncols == n
         form, _ = matrix_to_form(pencil)
         assert form == mirror(g).leading_normalized()
+
+
+def test_verify_in_image_refuses_an_annihilator_outside_the_span():
+    # the annihilator of another form is not spanned by this pencil's sub-Pfaffians
+    g, other = (mirror(random_nondegenerate_dual_form(4, GF(32003), SplitMix64(seed))) for seed in (11, 12))
+    datum = veronese_projection(g)
+    datum.complement = veronese_projection(other).complement
+    with pytest.raises(InternalError, match="annihilator basis not in the sub-Pfaffian span"):
+        verify_in_image(datum)
 
 
 def test_projection_datum_json():

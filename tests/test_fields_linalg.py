@@ -30,7 +30,6 @@ from skewlab import (
     kernel_basis,
     rank,
     row_space_canonical,
-    solve,
 )
 from skewlab import apolarity, cli, cohomology, correspond, degeneracy, fields, linalg, rings, skew
 from skewlab.fields import Field
@@ -44,7 +43,7 @@ def random_matrix(field, nrows, ncols, rng):
         entries = lambda: Fraction(rng.randint(-9, 9))
     else:
         entries = lambda: rng.below(field.p)
-    return Matrix(field, [[entries() for _ in range(ncols)] for _ in range(nrows)])
+    return Matrix(field, [[entries() for _ in range(ncols)] for _ in range(nrows)], ncols)
 
 
 def to_sympy(mat):
@@ -202,6 +201,36 @@ def test_every_export_has_a_caller_or_a_reason():
     assert uncalled == set(UNCALLED_EXPORTS)
 
 
+#: Every parameter default in the package, as ``module.function(parameter)``, and why it stays.
+PARAMETER_DEFAULTS = {
+    "cli.main(argv)": "None parses sys.argv, as the console script calls it",
+    "cohomology.agreement(chases)": "cmd_cohomology hands in the chases it ran; the grid lets agreement run them",
+    "rings.y_vars(m)": "the three base variables of every pencil in the paper",
+    "rings.d_vars(m)": "the three dual variables of every form in the paper",
+    "rings.parse_poly(degree)": "None reads the degree off the text; only the zero form needs it given",
+}
+
+
+def test_every_parameter_default_is_listed_with_a_reason():
+    # a default that no caller varies is a second way to call; adding one means listing it
+    pkg = os.path.dirname(skewlab.__file__)
+    found = set()
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                    args = node.args
+                    positional = args.posonlyargs + args.args
+                    with_default = positional[len(positional) - len(args.defaults) :] + [
+                        a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                    ]
+                    where = getattr(node, "name", "<lambda>")
+                    found |= {f"{name[:-3]}.{where}({a.arg})" for a in with_default}
+    assert found == set(PARAMETER_DEFAULTS)
+
+
 def test_the_package_has_no_floats():
     # exact arithmetic only: no ``float`` name and no float or complex literal
     pkg = os.path.dirname(skewlab.__file__)
@@ -233,6 +262,22 @@ def test_field_json_rejects_bad_modulus(stanza):
 
     with pytest.raises(FormatError):
         Field.from_json(stanza)
+
+
+def test_matrix_requires_and_checks_its_column_count():
+    with pytest.raises(UsageError, match="every row needs 3 entries"):
+        Matrix(QQ, [[1, 2]], 3)
+    with pytest.raises(UsageError, match="every row needs 2 entries"):
+        Matrix(GF(7), [[1, 2], [3]], 2)
+    with pytest.raises(TypeError):
+        Matrix(QQ, [[1, 2]])
+    # with no rows the count is the one given, and the transpose has that many empty rows
+    empty = Matrix(GF(7), [], 3)
+    assert (empty.nrows, empty.ncols) == (0, 3)
+    flipped = empty.transpose()
+    assert (flipped.nrows, flipped.ncols, flipped.rows) == (3, 0, [[], [], []])
+    assert flipped.transpose() == empty
+    assert Matrix(QQ, [[1, 2, 3]], 3).transpose() == Matrix(QQ, [[1], [2], [3]], 1)
 
 
 # -- echelon form / rank / kernel ------------------------------------------
@@ -308,7 +353,7 @@ KERNEL_LINE_EXITS = {
 @pytest.mark.parametrize("case", list(KERNEL_LINE_EXITS))
 def test_kernel_line_matches_kernel_basis_on_each_exit(monkeypatch, field, case):
     head, tail, dim, eliminations = KERNEL_LINE_EXITS[case]
-    mat = Matrix(field, [[field.from_int(a) for a in row] for row in head + tail])
+    mat = Matrix(field, [[field.from_int(a) for a in row] for row in head + tail], len(head[0]))
     want = kernel_basis(mat)
     calls = []
     echelon = linalg._echelon
@@ -330,46 +375,10 @@ def test_kernel_line_equals_kernel_basis_at_every_prefix():
         for _ in range(40):
             nrows, ncols = 1 + rng.below(7), 1 + rng.below(6)
             entries = [[field.from_int(rng.randint(-1, 1)) for _ in range(ncols)] for _ in range(nrows)]
-            mat = Matrix(field, entries)
+            mat = Matrix(field, entries, ncols)
             want = kernel_basis(mat)
             for prefix in range(nrows + 1):
                 assert linalg.kernel_line(mat, prefix) == want
-
-
-def test_solve_particular_and_inconsistent():
-    rng = SplitMix64(99)
-    for field in (QQ, GF(101)):
-        a = random_matrix(field, 5, 7, rng)
-        x0 = [field.from_int(rng.randint(-4, 4)) for _ in range(7)]
-        b = mul_vec(a, x0)
-        sols = solve(a, [b])
-        assert sols is not None and len(sols) == 1
-        x = sols[0]
-        assert mul_vec(a, x) == b
-        # free coordinates of the returned solution are zero
-        pivots = linalg._echelon(a.rows, field, a.ncols)[0]
-        for j in range(a.ncols):
-            if j not in pivots:
-                assert x[j] == field.zero
-    bad = Matrix(QQ, [[1, 1], [1, 1]])
-    assert solve(bad, [[0, 1]]) is None
-
-
-def test_solve_several_right_hand_sides_at_once():
-    rng = SplitMix64(7)
-    for field in (QQ, GF(101)):
-        a = random_matrix(field, 6, 4, rng)
-        # columns in the image, so the tall system is consistent
-        rhs = [
-            mul_vec(a, [field.from_int(rng.randint(-4, 4)) for _ in range(4)])
-            for _ in range(3)
-        ]
-        assert solve(a, rhs) == [solve(a, [b])[0] for b in rhs]
-        assert solve(a, []) == []
-        bad = Matrix(field, [[1, 1], [1, 1]])
-        assert solve(bad, [[1, 1], [2, 2]]) == [[1, 0], [2, 0]]
-        # one inconsistent column makes the whole answer None
-        assert solve(bad, [[1, 1], [0, 1], [2, 2]]) is None
 
 
 # -- the determinant oracle ------------------------------------------------------
@@ -382,9 +391,9 @@ def test_det_matches_sympy():
         for n in (1, 2, 3, 5, 7):
             a = random_matrix(field, n, n, rng)
             # a zero leading entry makes the elimination swap rows
-            swapped = Matrix(field, [[field.zero] + a.rows[0][1:]] + a.rows[1:])
+            swapped = Matrix(field, [[field.zero] + a.rows[0][1:]] + a.rows[1:], n)
             # a repeated row makes the matrix singular
-            singular = Matrix(field, a.rows[:-1] + [a.rows[0]])
+            singular = Matrix(field, a.rows[:-1] + [a.rows[0]], n)
             for mat in (a, swapped, singular):
                 want = Fraction(to_sympy(mat).det())
                 if field.p is not None:
@@ -392,10 +401,10 @@ def test_det_matches_sympy():
                 assert det(mat) == want
     # two swaps cancel, one swap negates
     f = GF(13)
-    assert det(Matrix(f, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == 1
-    assert det(Matrix(f, [[0, 1], [1, 0]])) == 12
-    assert det(Matrix(QQ, [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(4)]])) == -6
-    assert det(Matrix(f, [[0, 0], [0, 5]])) == 0
+    assert det(Matrix(f, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], 3)) == 1
+    assert det(Matrix(f, [[0, 1], [1, 0]], 2)) == 12
+    assert det(Matrix(QQ, [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(4)]], 2)) == -6
+    assert det(Matrix(f, [[0, 0], [0, 5]], 2)) == 0
 
 
 def test_det_multiplicative():
@@ -425,18 +434,18 @@ def test_row_space_canonical_is_basis_independent():
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4), min_size=3, max_size=3))
 def test_rank_equals_transpose_rank(rows):
     for field in (QQ, GF(13)):
-        a = Matrix(field, [[field.from_int(v) for v in row] for row in rows])
+        a = Matrix(field, [[field.from_int(v) for v in row] for row in rows], 4)
         assert rank(a) == rank(a.transpose())
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=3, max_size=3))
 def test_det_transpose_invariant(rows):
-    a = Matrix(QQ, [[Fraction(v) for v in row] for row in rows])
+    a = Matrix(QQ, [[Fraction(v) for v in row] for row in rows], 3)
     assert det(a) == det(a.transpose())
     # the package tells a zero determinant by rank, over QQ and F_p
     for field in (QQ, GF(13)):
-        b = Matrix(field, [[field.from_int(v) for v in row] for row in rows])
+        b = Matrix(field, [[field.from_int(v) for v in row] for row in rows], 3)
         assert (rank(b) < 3) == (det(b) == field.zero)
 
 
@@ -577,7 +586,7 @@ def test_one_function_updates_packed_rows():
             with open(os.path.join(pkg, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read())
             for fn in ast.walk(tree):
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
                     for node in ast.walk(fn):
                         if getattr(node, "attr", getattr(node, "id", None)) == "packed_axpy":
                             users.add(f"{name[:-3]}.{getattr(fn, 'name', 'lambda')}")
@@ -747,7 +756,7 @@ def small_combinations(basis, count, rng):
         den = rng.randint(1, 50)
         row = [sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(len(basis[0]))]
         rows.append([Fraction(a, den) for a in row])
-    return Matrix(QQ, rows)
+    return Matrix(QQ, rows, len(basis[0]))
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["first-prime-restarts", "second-prime-dropped"])

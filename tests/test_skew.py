@@ -180,7 +180,7 @@ def skew_from_upper(alphabet_text_rows):
 def test_pfaffian_two_by_two():
     pm = skew_from_upper([["y0"]])
     assert pfaffian_poly(pm) == ylin("y0")
-    mat = Matrix(QQ, [[0, 7], [-7, 0]])
+    mat = Matrix(QQ, [[0, 7], [-7, 0]], 2)
     assert pfaffian_scalar(mat) == 7
 
 
@@ -205,6 +205,7 @@ def test_pfaffian_scalar_clears_denominators():
             [Fraction(2, 3), Fraction(-3, 4), 0, Fraction(-1, 6)],
             [Fraction(-5, 7), -1, Fraction(1, 6), 0],
         ],
+        4,
     )
     assert pfaffian_scalar(mat) == pfaffian_by_matchings(mat.rows, Fraction(1))
 
@@ -242,11 +243,11 @@ def test_pfaffian_squares_to_determinant_poly():
 
 def test_pfaffian_guards():
     with pytest.raises(OddOrder):
-        pfaffian_scalar(Matrix(QQ, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]))
+        pfaffian_scalar(Matrix(QQ, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]], 3))
     with pytest.raises(NotSkew):
-        pfaffian_scalar(Matrix(QQ, [[0, 1], [1, 0]]))
+        pfaffian_scalar(Matrix(QQ, [[0, 1], [1, 0]], 2))
     with pytest.raises(NotSkew):
-        pfaffian_scalar(Matrix(QQ, [[1, 1], [-1, 0]]))
+        pfaffian_scalar(Matrix(QQ, [[1, 1], [-1, 0]], 2))
 
 
 def test_zero_pencil_pfaffian_is_graded_zero():
@@ -394,7 +395,7 @@ def test_maximal_minors_lex_order_and_values():
     point = tuple(rng.below(field.p) for _ in range(pm.alphabet.nvars))
     a = evaluate_matrix(pm, point)
     for minor, rows in zip(minors, rowsets):
-        sub = Matrix(field, [a.rows[i] for i in rows])
+        sub = Matrix(field, [a.rows[i] for i in rows], 3)
         assert minor.evaluate(point) == det(sub)
 
 
@@ -452,6 +453,14 @@ def test_from_entries_keeps_its_checks():
     assert pm.entry(0, 1) == -y0 and pm.entries[1][1] == y0
 
 
+def test_poly_matrix_checks_every_layer_shape():
+    # a short row in the one layer, and a 2 x 3 layer beside a 2 x 2 one
+    with pytest.raises(UsageError, match="every coefficient layer must be 2 x 2"):
+        skew_linear(PolyMatrix(y_vars(1), 1, QQ, [[[0, 0], [0]]]))
+    with pytest.raises(UsageError, match="every coefficient layer must be 2 x 2"):
+        skew_linear(PolyMatrix(y_vars(2), 1, QQ, [[[0, 1], [-1, 0]], [[0, 1, 2], [-1, 0, 3]]]))
+
+
 # -- JSON ----------------------------------------------------------------------
 
 
@@ -488,7 +497,7 @@ def test_pfaffian_square_is_det_order_four(uppers):
         [-vals[1], -vals[3], 0, vals[5]],
         [-vals[2], -vals[4], -vals[5], 0],
     ]
-    mat = Matrix(QQ, rows)
+    mat = Matrix(QQ, rows, 4)
     pf = pfaffian_scalar(mat)
     assert pf * pf == det(mat)
     # order 4 in closed form: a01 a23 - a02 a13 + a03 a12
