@@ -220,7 +220,7 @@ def test_every_parameter_default_is_listed_with_a_reason():
             with open(os.path.join(pkg, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read())
             for node in ast.walk(tree):
-                if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                     args = node.args
                     positional = args.posonlyargs + args.args
                     with_default = positional[len(positional) - len(args.defaults) :] + [
@@ -586,7 +586,7 @@ def test_one_function_updates_packed_rows():
             with open(os.path.join(pkg, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read())
             for fn in ast.walk(tree):
-                if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                     for node in ast.walk(fn):
                         if getattr(node, "attr", getattr(node, "id", None)) == "packed_axpy":
                             users.add(f"{name[:-3]}.{getattr(fn, 'name', 'lambda')}")
