@@ -8,7 +8,6 @@ a prime field, with no floating point anywhere.
 
 from .errors import (
     AlphabetMismatch,
-    AmbiguousChase,
     DegenerateForm,
     DegenerateG,
     DegenerateInput,

@@ -90,7 +90,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -245,14 +245,15 @@ def verify_in_image(datum: ProjectionDatum) -> tuple[PolyMatrix, Matrix, Certifi
     """Identify the projected Veronese with a sub-Pfaffian image.
 
     Builds the skew pencil of the dual form, then expresses the
-    annihilator basis in the sub-Pfaffian basis; the change of basis
-    must be invertible.  The reduced echelon form of the rows
-    [pf_i | e_i] has rows [R | E] with E P = R, P the sub-Pfaffian rows,
-    and R the canonical basis of their span.  So the annihilator lies in
-    that span exactly when R is its canonical basis; then row j of E
-    writes the j-th annihilator vector in the sub-Pfaffians, and the
-    change of basis is E transposed.  Returns the pencil, the change of
-    basis, and the pencil's certificate.
+    annihilator basis in the sub-Pfaffian basis.  The reduced echelon
+    form of the rows [pf_i | e_i] has rows [R | E] with E P = R, P the
+    sub-Pfaffian rows, and R the canonical basis of their span.  So the
+    annihilator lies in that span exactly when R is its canonical basis;
+    then row j of E writes the j-th annihilator vector in the
+    sub-Pfaffians, and the change of basis is E transposed.  It is
+    invertible: R has n independent rows and E P = R, so the n x n
+    matrix E has rank n.  Returns the pencil, the change of basis, and
+    the pencil's certificate.
     """
     pencil, cert = form_to_matrix(mirror(datum.g))
     pfs, _signed = sub_pfaffians(pencil)
@@ -263,8 +264,6 @@ def verify_in_image(datum: ProjectionDatum) -> tuple[PolyMatrix, Matrix, Certifi
     if [row[:ambient] for row in echelon] != datum.complement.basis:
         raise InternalError("annihilator basis not in the sub-Pfaffian span")
     a_mat = Matrix(field, [row[ambient:] for row in echelon], n).transpose()
-    if rank(a_mat) < n:
-        raise InternalError("sub-Pfaffian change of basis is singular")
     return pencil, a_mat, cert
 
 

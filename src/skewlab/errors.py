@@ -88,7 +88,3 @@ class NoPointsFound(GenericityError):
 
 class InternalError(SkewlabError):
     """An internal invariant failed; this signals a bug, not bad input."""
-
-
-class AmbiguousChase(InternalError):
-    """A cohomology chase expected to be forced left slack."""

@@ -23,6 +23,7 @@ between 2**60 and 2**61 (found on first use), ``crt`` combines residues and
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -108,13 +109,15 @@ class Field:
         return hash(("Field", self.p))
 
     def parse_scalar(self, text: str):
-        """Parse ``"3"``, ``"-2/7"``; fractions over F_p use inversion."""
+        """Parse a signed integer or p/q (``"3"``, ``"-2/7"``); p/q over F_p uses inversion."""
         text = text.strip()
         try:
+            if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+                raise ValueError("not an integer or p/q")
             q = Fraction(text)
+            return self.from_int(q.numerator * self.inv(self.from_int(q.denominator)))
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad scalar literal {text!r}") from exc
-        return self.from_int(q.numerator * self.inv(self.from_int(q.denominator)))
 
     def scalar_from_json(self, obj):
         if isinstance(obj, bool) or not isinstance(obj, (int, str)):

@@ -76,7 +76,7 @@ def random_point(nvars: int, field: Field, rng: SplitMix64) -> tuple:
         pt = tuple(random_scalar(field, rng) for _ in range(nvars))
         if any(c != 0 for c in pt):
             return pt
-    raise InternalError("failed to draw a nonzero point")  # pragma: no cover
+    raise InternalError("failed to draw a nonzero point")
 
 
 def random_skew_linear(n: int, m: int, field: Field, rng: SplitMix64) -> PolyMatrix:

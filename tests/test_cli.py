@@ -442,13 +442,25 @@ MALFORMED_INPUTS = [
     (["sample", "--seed", "1"], "matrix", ["nvars"], "abc", "nvars"),
     (["sample", "--seed", "1"], "matrix", ["degree"], "x", "degree"),
     (["sample", "--seed", "1"], "matrix", ["entries"], [[1]], "string"),
+    # scalar literals: a denominator the prime divides, and an exponent
+    # that Fraction would expand to ten million digits before reducing
+    (["correspond", "from-form"], "form", ["terms", 0, 0], "1/32003", "scalar"),
+    (["correspond", "from-matrix"], "matrix", ["entries", 0, 1], "1/32003*y0", "scalar"),
+    (["sample", "--seed", "1"], "matrix", ["entries", 0, 1], "1e10000000*y0", "scalar"),
 ]
 
 
+def case_ids(rows):
+    """``command-key`` for each row; a row whose key an earlier row used adds its word."""
+    ids = []
+    for command, _, path, _, word in rows:
+        case = f"{command[0] if command[0] == 'sample' else command[1]}-{path[0]}"
+        ids.append(f"{case}-{word}" if case in ids else case)
+    return ids
+
+
 @pytest.mark.parametrize(
-    "command, source, path, value, word",
-    MALFORMED_INPUTS,
-    ids=[f"{c[0] if c[0] == 'sample' else c[1]}-{p[0]}" for c, _, p, _, _ in MALFORMED_INPUTS],
+    "command, source, path, value, word", MALFORMED_INPUTS, ids=case_ids(MALFORMED_INPUTS)
 )
 def test_malformed_input_file_exits_two(tmp_path, capsys, command, source, path, value, word):
     doc = run_json(tmp_path, "correspond", "from-form", "--n", "5", "--seed", "1")[source]
@@ -462,6 +474,20 @@ def test_malformed_input_file_exits_two(tmp_path, capsys, command, source, path,
     assert main([*command, "--in", str(in_file)]) == 2
     err = capsys.readouterr().err
     assert "usage error" in err and word in err and "Traceback" not in err
+
+
+def test_an_integer_past_the_json_digit_limit_exits_two(tmp_path, capsys):
+    # json.dumps cannot write a 4,301-digit integer either, so the file is raw text
+    doc = run_json(tmp_path, "correspond", "from-form", "--n", "5", "--seed", "1")["form"]
+    doc["terms"][0][0] = 0
+    text = json.dumps(doc).replace("[[0, ", "[[" + "7" * 4301 + ", ", 1)
+    assert "7" * 4301 in text
+    in_file = tmp_path / "in.json"
+    in_file.write_text(text)
+    capsys.readouterr()
+    assert main(["correspond", "from-form", "--in", str(in_file)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "invalid JSON" in err and "Traceback" not in err
 
 
 def test_skew_normalization_failure_exits_three(tmp_path, capsys):

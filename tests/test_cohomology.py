@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from skewlab import cohomology
 from skewlab import (
     AffineForm,
     ChaseContext,
@@ -30,6 +31,8 @@ from skewlab import (
     sheaf_chase,
     slot3,
 )
+
+from skewlab.fields import MAX_LEDGER_ORDER
 
 from conftest import chi_of
 
@@ -115,6 +118,20 @@ def test_g_r_vector_euler_identity():
             e1 = chi_of(bott(n - 1, n - r - 1, n - 2 * r + 1))
             e2 = chi_of(bott(n - 1, n - r - 1, n - 2 * r + 2))
             assert chi_g == n * e1 - e2
+
+
+def test_g_r_vector_bott_supports_never_meet():
+    # why g_r_vector needs no chase for 2 <= r <= n - 2: E(1) and E(2) are
+    # never nonzero in one degree, so every map H^i(E(1)^n) -> H^i(E(2)) is zero
+    pairs = 0
+    for n in range(4, 201):
+        for r in range(2, n - 1):
+            p = n - r - 1
+            e1 = bott(n - 1, p, n - 2 * r + 1)
+            e2 = bott(n - 1, p, n - 2 * r + 2)
+            assert not any(a and b for a, b in zip(e1, e2)), (n, r)
+            pairs += 1
+    assert pairs == 19_503
 
 
 def test_koszul_term_worked_examples():
@@ -240,6 +257,11 @@ def test_slot3_exact_sequence_arithmetic():
     assert c_forms == [2, 2, 0] and all(type(f) is int for f in c_forms)
 
 
+def test_slot3_refuses_mismatched_lengths():
+    with pytest.raises(InternalError, match="mismatched vector lengths in chase"):
+        slot3([1, 0], (3, 2, 0), ChaseContext())
+
+
 def test_koszul_chase_trivial_complex():
     # resolution 0 -> T1 -> T0 -> F -> 0 with exact middle cohomology
     res = koszul_chase([(5, 0, 0), (2, 0, 0)], name="toy")
@@ -288,6 +310,14 @@ def test_closed_omega_h0_frozen_values():
         assert closed_form_tables(3, n)["omega"][0] == h0
 
 
+def test_closed_omega_h0_at_m3_is_its_cubic():
+    # an identity in n, so closed_form_tables does not recheck it per call;
+    # checked up to 2,000 and at the ledger cap
+    for n in [*range(5, 2001), MAX_LEDGER_ORDER]:
+        cubic = n * (13 * n - 18) // 8 if n % 2 == 0 else (n - 1) * (n * n + 5 * n + 8) // 8
+        assert closed_form_tables(3, n)["omega"][0] == cubic, n
+
+
 def test_closed_structure_and_twist_spots():
     assert closed_form_tables(3, 6)["structure"][1] == 1
     assert closed_form_tables(3, 8)["twist"][1] == 3
@@ -327,6 +357,14 @@ def test_h0f_flagged_family():
         assert res.interval == (dim_gr(4, n), dim_gr(4, n) + 1)
         assert res.note is not None and "resolved externally" in res.note
         assert res.raw_interval[0] <= res.interval[0] <= res.interval[1] <= res.raw_interval[1]
+
+
+def test_h0f_refuses_a_contracted_interval_outside_the_chase(monkeypatch):
+    # the one hand-set value must lie inside what the chase proves: at
+    # (4, 8) the chase gives (96, 97), and a dimension one too high escapes it
+    monkeypatch.setattr(cohomology, "dim_gr", lambda m, n: 97)
+    with pytest.raises(InternalError, match=r"interval \(97, 98\) escapes the chase \(96, 97\)"):
+        h0F(4, 8)
 
 
 def test_dimension_formulas():

@@ -5,10 +5,12 @@ import math
 
 import pytest
 
+from skewlab import degeneracy, randomness
 from skewlab import (
     GF,
     QQ,
     DegenerateG,
+    IncidenceResult,
     InternalError,
     Matrix,
     NoPointsFound,
@@ -106,6 +108,21 @@ def test_random_points_miss_the_locus():
     for _ in range(10):
         res = incidence_check(flipped, random_point(7, field, rng))
         assert res.rank == 3 and not res.ok
+
+
+def test_random_point_gives_up_when_every_draw_is_zero(monkeypatch):
+    monkeypatch.setattr(randomness, "random_scalar", lambda field, rng: field.zero)
+    with pytest.raises(InternalError, match="failed to draw a nonzero point"):
+        random_point(3, GF(101), SplitMix64(1))
+
+
+def test_incidence_check_detects_rank_and_minors_disagreeing(monkeypatch):
+    # a locus point whose rank is misread as full: its 3 x 3 minors still vanish
+    pm = seeded_pencil(5, GF(32003), 35)
+    [(_nu, x)], _skipped = parametrization_points(pm, 1, SplitMix64(99))
+    monkeypatch.setattr(degeneracy, "rank", lambda a: a.ncols)
+    with pytest.raises(InternalError, match="rank and minor tests disagree"):
+        incidence_check(tensor_flip(pm), x)
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=repr)
@@ -237,6 +254,13 @@ def test_even_scroll_guards():
     for count in (0, -5):
         with pytest.raises(RangeError, match=f"sample count must be at least 1, got {count}"):
             even_scroll_sample(seeded_pencil(6, GF(101), 41), count)
+
+
+def test_even_scroll_sample_detects_a_kernel_line_off_the_locus(monkeypatch):
+    off = IncidenceResult(rank=3, n_minors=20, minors_zero=False, ok=False)
+    monkeypatch.setattr(degeneracy, "incidence_check", lambda pencil, point: off)
+    with pytest.raises(InternalError, match="kernel line sample failed incidence"):
+        even_scroll_sample(seeded_pencil(6, GF(101), 41), count=1)
 
 
 def test_pointless_curve_raises(pointless_pencil):

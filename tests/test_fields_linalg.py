@@ -126,6 +126,16 @@ def test_scalar_text_roundtrip():
             assert f.parse_scalar(str(v)) == v
 
 
+def test_scalar_text_is_an_integer_or_p_over_q():
+    assert GF(5).parse_scalar("10/5") == 2 and GF(5).parse_scalar(" -2/3 ") == 1
+    assert QQ.parse_scalar("+4/6") == Fraction(2, 3)
+    # decimals, exponents and underscores are refused, and so is a
+    # denominator that is zero in the field
+    for f, text in ((QQ, "0.5"), (QQ, "1e3"), (QQ, "1_0"), (QQ, "1/0"), (GF(5), "1/5"), (GF(5), "")):
+        with pytest.raises(FormatError, match="bad scalar literal"):
+            f.parse_scalar(text)
+
+
 def test_field_axpy_reduces():
     assert GF(7).axpy(3, [1, 6], [2, 5]) == [0, 0]
     assert QQ.axpy(Fraction(1, 2), [Fraction(1)], [Fraction(3)]) == [Fraction(5, 2)]
@@ -229,6 +239,52 @@ def test_every_parameter_default_is_listed_with_a_reason():
                     where = getattr(node, "name", "<lambda>")
                     found |= {f"{name[:-3]}.{where}({a.arg})" for a in with_default}
     assert found == set(PARAMETER_DEFAULTS)
+
+
+#: Every ``raise InternalError`` in the package, as ``module.function``, and the Tier-1 test
+#: that makes it fire.
+INTERNAL_ERRORS = {
+    "linalg._multimodular_rref": "test_the_integer_check_rejects_a_wrong_reconstruction",
+    "degeneracy.incidence_check": "test_incidence_check_detects_rank_and_minors_disagreeing",
+    "degeneracy.verify_in_image": "test_verify_in_image_refuses_an_annihilator_outside_the_span",
+    "degeneracy.even_scroll_sample": "test_even_scroll_sample_detects_a_kernel_line_off_the_locus",
+    "cohomology.new_rank_var": "test_chase_context_detects_infeasible",
+    "cohomology.slot3": "test_slot3_refuses_mismatched_lengths",
+    "cohomology.h0F": "test_h0f_refuses_a_contracted_interval_outside_the_chase",
+    "randomness.random_point": "test_random_point_gives_up_when_every_draw_is_zero",
+}
+
+
+def test_every_internal_error_is_listed_with_a_test_that_fires_it():
+    # a cross-check that no test can make fail shows nothing; adding one means listing it
+    pkg = os.path.dirname(skewlab.__file__)
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "InternalError":
+                    found.append(where)
+            visit(child, where)
+
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                visit(ast.parse(fh.read()), name[:-3])
+    # one entry per raise site, so a second raise in a listed function fails too
+    assert sorted(found) == sorted(INTERNAL_ERRORS)
+    here, tests = os.path.dirname(__file__), {}
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), encoding="utf-8") as fh:
+                body = ast.parse(fh.read()).body
+            tests.update((f.name, f) for f in body if isinstance(f, ast.FunctionDef))
+    for site, test in INTERNAL_ERRORS.items():
+        assert "pytest.raises(InternalError" in ast.unparse(tests[test]), (site, test)
 
 
 def test_the_package_has_no_floats():
