@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from .apolarity import mirror, partials_slice, perp_slice
 from .cohomology import _require_grid
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .linalg import Matrix, kernel_basis, rank, row_space_canonical
 from .randomness import SplitMix64, random_point
-from .rings import GradedSlice, HomogPoly, dim_homog, poly_to_json
+from .rings import GradedSlice, HomogPoly, dim_homog, monomials, poly_to_json
 from .skew import (
     PolyMatrix,
     evaluate_matrix,
@@ -87,21 +88,15 @@ class IncidenceResult:
     ok: bool
 
 
-def _det3(r0, r1, r2):
-    """The unreduced determinant of three rows of length 3."""
-    return (
-        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
-    )
-
-
 def incidence_check(pencil: PolyMatrix, point) -> IncidenceResult:
     """Exact rank-drop test for a point against a tall pencil.
 
     Evaluates the pencil, computes the rank, and independently checks
-    that every maximal minor vanishes, by the 3x3 formula when m = 3 and
-    by the rank of the minor otherwise; the two routes must agree.
+    that every maximal minor vanishes; the two routes must agree.  When
+    m = 3 the minor on rows i < j < k is the triple product
+    r_i . (r_j x r_k), so each row pair's cross product (its three 2x2
+    cofactors) is computed once and dotted with every row above it.
+    Otherwise each m x m minor is tested by its rank.
     """
     if pencil.nrows <= pencil.ncols:
         raise RangeError("incidence expects a tall pencil")
@@ -109,21 +104,24 @@ def incidence_check(pencil: PolyMatrix, point) -> IncidenceResult:
     r = rank(a)
     m = pencil.ncols
     field = pencil.field
-    zero = field.zero
-    all_zero = True
-    n_minors = 0
-    for rows_sel in combinations(range(a.nrows), m):
-        n_minors += 1
-        if m == 3:
-            zero_minor = field.from_int(_det3(*(a.rows[i] for i in rows_sel))) == zero
-        else:
-            zero_minor = rank(Matrix(field, [a.rows[i] for i in rows_sel], m)) < m
-        if not zero_minor:
-            all_zero = False
+    reduce, zero = field.from_int, field.zero
+    rows = a.rows
+    if m == 3:
+        zeros = []
+        for j, k in combinations(range(a.nrows), 2):
+            (b0, b1, b2), (c0, c1, c2) = rows[j], rows[k]
+            x0, x1, x2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+            zeros += [reduce(a0 * x0 + a1 * x1 + a2 * x2) == zero for a0, a1, a2 in rows[:j]]
+    else:
+        zeros = [
+            rank(Matrix(field, [rows[i] for i in sel], m)) < m
+            for sel in combinations(range(a.nrows), m)
+        ]
+    all_zero = all(zeros)
     ok = r < m
     if ok != all_zero:
         raise InternalError("rank and minor tests disagree")
-    return IncidenceResult(rank=r, n_minors=n_minors, minors_zero=all_zero, ok=ok)
+    return IncidenceResult(rank=r, n_minors=len(zeros), minors_zero=all_zero, ok=ok)
 
 
 # -- odd-order parametrization ----------------------------------------------------
@@ -136,8 +134,11 @@ def parametrization_points(
 
     Each random plane point nu is sent to the signed sub-Pfaffian vector
     evaluated at nu, which lies in the rank-drop locus of the flipped
-    pencil.  Points where the whole vector vanishes are skipped and
-    counted; too many skips raise ``DegenerateInput``.
+    pencil.  The degree (n-1)/2 monomials are evaluated at nu once, from
+    a power table of each coordinate, and each sub-Pfaffian is one dot
+    product of its coefficients with them.  Points where the whole
+    vector vanishes are skipped and counted; too many skips raise
+    ``DegenerateInput``.
     """
     pm = skew_linear(pencil)
     n = pm.nrows
@@ -147,6 +148,8 @@ def parametrization_points(
         raise RangeError("parametrization needs three base variables")
     field = pm.field
     _pfs, signed = sub_pfaffians(pm)
+    half = n // 2
+    monos = monomials(3, half)
     out: list[tuple[tuple, tuple]] = []
     skipped = 0
     budget = 20 * count + 100
@@ -156,7 +159,9 @@ def parametrization_points(
                 "signed sub-Pfaffians vanish at too many sample points"
             )
         nu = random_point(3, field, rng)
-        x = tuple(q.evaluate(nu) for q in signed)
+        p0, p1, p2 = ([c**e for e in range(half + 1)] for c in nu)
+        values = [p0[i] * p1[j] * p2[k] for i, j, k in monos]
+        x = tuple(field.from_int(sum(map(mul, q.coeffs, values))) for q in signed)
         if all(v == field.zero for v in x):
             skipped += 1
             continue

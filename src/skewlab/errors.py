@@ -12,6 +12,28 @@ Three families, matching the CLI exit-code contract:
 
 from __future__ import annotations
 
+#: The most characters of a user token that an error message repeats.
+QUOTE_LIMIT = 100
+
+
+def quoted(token) -> str:
+    """``repr(token)`` as a message quotes it, clipped when it is long.
+
+    Past ``QUOTE_LIMIT`` characters the message keeps that many and
+    states the length: of the text for a string, of its ``repr``
+    otherwise.  So a megabyte literal costs a line of stderr.  An int
+    too long for ``repr`` (past Python's 4,300 digits) is given by its
+    bit length.
+    """
+    try:
+        text = repr(token)
+    except ValueError:
+        return f"an integer of {token.bit_length()} bits"
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    size = len(token) if isinstance(token, str) else len(text)
+    return f"{text[:QUOTE_LIMIT]}... ({size} characters)"
+
 
 class SkewlabError(Exception):
     """Base class for every error raised by this package."""

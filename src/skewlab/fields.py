@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .errors import FormatError, RangeError
+from .errors import FormatError, RangeError, quoted
 
 #: Witness bases making Miller-Rabin deterministic for n < _MR_LIMIT.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -71,7 +71,7 @@ def is_prime(n: int) -> bool:
 def json_int(value: Any, what: str) -> int:
     """``value`` if it is a JSON integer; a bool, float or string is not."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{what} must be an integer, got {value!r}")
+        raise FormatError(f"{what} must be an integer, got {quoted(value)}")
     return value
 
 
@@ -117,11 +117,11 @@ class Field:
             q = Fraction(text)
             return self.from_int(q.numerator * self.inv(self.from_int(q.denominator)))
         except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad scalar literal {text!r}") from exc
+            raise FormatError(f"bad scalar literal {quoted(text)}") from exc
 
     def scalar_from_json(self, obj):
         if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-            raise FormatError(f"bad scalar JSON {obj!r}")
+            raise FormatError(f"bad scalar JSON {quoted(obj)}")
         if isinstance(obj, int):
             return self.from_int(obj)
         return self.parse_scalar(obj)
@@ -129,12 +129,12 @@ class Field:
     @staticmethod
     def from_json(obj: Any) -> "Field":
         if not isinstance(obj, dict) or "kind" not in obj:
-            raise FormatError(f"bad field JSON {obj!r}")
+            raise FormatError(f"bad field JSON {quoted(obj)}")
         if obj["kind"] == "q":
             return QQ
         if obj["kind"] == "fp":
             return GF(json_int(obj.get("p"), "field modulus"))
-        raise FormatError(f"unknown field kind {obj['kind']!r}")
+        raise FormatError(f"unknown field kind {quoted(obj['kind'])}")
 
 
 class Rationals(Field):

@@ -16,7 +16,15 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import AlphabetMismatch, DegreeMismatch, FormatError, RangeError, SkewlabError, UsageError
+from .errors import (
+    AlphabetMismatch,
+    DegreeMismatch,
+    FormatError,
+    RangeError,
+    SkewlabError,
+    UsageError,
+    quoted,
+)
 from .fields import MAX_ORDER, Field, check_size, json_int
 from .linalg import Matrix, row_space_canonical
 
@@ -32,7 +40,7 @@ class Alphabet:
 
     def __post_init__(self):
         if self.key not in _PREFIX:
-            raise UsageError(f"unknown alphabet key {self.key!r}")
+            raise UsageError(f"unknown alphabet key {quoted(self.key)}")
         if self.nvars < 1:
             raise UsageError("alphabet needs at least one variable")
 
@@ -127,7 +135,7 @@ class HomogPoly:
         for c, expo in terms:
             expo = tuple(expo)
             if expo not in idx:
-                raise DegreeMismatch(f"exponent {expo} is not homogeneous of degree {degree}")
+                raise DegreeMismatch(f"exponent {quoted(expo)} is not homogeneous of degree {degree}")
             coeffs[idx[expo]] = field.from_int(coeffs[idx[expo]] + c)
         return cls(alphabet, degree, field, coeffs)
 
@@ -282,7 +290,7 @@ def parse_poly(
     required to give the zero polynomial a grade.
     """
     if not isinstance(text, str):
-        raise FormatError(f"polynomial text must be a string, got {text!r}")
+        raise FormatError(f"polynomial text must be a string, got {quoted(text)}")
     src = text.replace(" ", "")
     if not src:
         raise FormatError("empty polynomial text")
@@ -308,31 +316,31 @@ def parse_poly(
                 sign = -sign
             body = body[1:]
         if not body:
-            raise FormatError(f"dangling sign in {text!r}")
+            raise FormatError(f"dangling sign in {quoted(text)}")
         coeff = field.one
         expo = [0] * alphabet.nvars
         deg = 0
         for factor in body.split("*"):
             if not factor:
-                raise FormatError(f"empty factor in {text!r}")
+                raise FormatError(f"empty factor in {quoted(text)}")
             if factor[0].isdigit() or factor[0] == ".":
                 coeff = field.from_int(coeff * field.parse_scalar(factor))
                 continue
             if not factor.startswith(prefix):
-                raise FormatError(f"unknown variable in factor {factor!r}")
+                raise FormatError(f"unknown variable in factor {quoted(factor)}")
             var, _, exp_txt = factor.partition("^")
             try:
                 vi = int(var[len(prefix):])
             except ValueError as exc:
-                raise FormatError(f"bad variable {var!r}") from exc
+                raise FormatError(f"bad variable {quoted(var)}") from exc
             if not 0 <= vi < alphabet.nvars:
-                raise FormatError(f"variable index out of range in {factor!r}")
+                raise FormatError(f"variable index out of range in {quoted(factor)}")
             e = 1
             if exp_txt:
                 try:
                     e = int(exp_txt)
                 except ValueError as exc:
-                    raise FormatError(f"bad exponent in {factor!r}") from exc
+                    raise FormatError(f"bad exponent in {quoted(factor)}") from exc
                 if e < 0:
                     raise FormatError("negative exponent")
             expo[vi] += e
@@ -342,7 +350,7 @@ def parse_poly(
         if degree is None:
             degree = deg
         if deg != degree and coeff != 0:
-            raise DegreeMismatch(f"term of degree {deg} in degree-{degree} polynomial")
+            raise DegreeMismatch(f"term of degree {quoted(deg)} in degree-{degree} polynomial")
         if body == "0" or (deg == 0 and coeff == 0):
             continue
         terms.append((coeff, tuple(expo)))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from skewlab import GF, InternalError, d_vars, parse_poly, poly_matrix_to_json, poly_to_json
 from skewlab.cli import main
+from skewlab.errors import QUOTE_LIMIT, quoted
 from skewlab.fields import MAX_LEDGER_ORDER, MAX_ORDER, MAX_TRIALS
 
 from conftest import norm_form_pencil
@@ -447,6 +448,10 @@ MALFORMED_INPUTS = [
     (["correspond", "from-form"], "form", ["terms", 0, 0], "1/32003", "scalar"),
     (["correspond", "from-matrix"], "matrix", ["entries", 0, 1], "1/32003*y0", "scalar"),
     (["sample", "--seed", "1"], "matrix", ["entries", 0, 1], "1e10000000*y0", "scalar"),
+    # long tokens are clipped; a term degree past Python's 4,300 digits
+    # ended in a traceback when the message printed it
+    (["correspond", "from-form"], "form", ["terms", 0, 0], "7" * 5000, "characters"),
+    (["correspond", "from-matrix"], "matrix", ["entries", 0, 1], f"y0^{'9' * 4300}*y0^{'9' * 4300}", "bits"),
 ]
 
 
@@ -474,6 +479,7 @@ def test_malformed_input_file_exits_two(tmp_path, capsys, command, source, path,
     assert main([*command, "--in", str(in_file)]) == 2
     err = capsys.readouterr().err
     assert "usage error" in err and word in err and "Traceback" not in err
+    assert len(err) < 300
 
 
 def test_an_integer_past_the_json_digit_limit_exits_two(tmp_path, capsys):
@@ -488,6 +494,13 @@ def test_an_integer_past_the_json_digit_limit_exits_two(tmp_path, capsys):
     assert main(["correspond", "from-form", "--in", str(in_file)]) == 2
     err = capsys.readouterr().err
     assert "usage error" in err and "invalid JSON" in err and "Traceback" not in err
+
+
+def test_a_token_of_ordinary_length_is_quoted_whole():
+    assert quoted("1/5") == "'1/5'"
+    assert quoted((1, 2, 3)) == "(1, 2, 3)"
+    assert quoted("7" * (QUOTE_LIMIT - 2)) == repr("7" * (QUOTE_LIMIT - 2))  # the quotes count
+    assert quoted("7" * 5000) == repr("7" * 5000)[:QUOTE_LIMIT] + "... (5000 characters)"
 
 
 def test_skew_normalization_failure_exits_three(tmp_path, capsys):

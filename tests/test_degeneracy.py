@@ -14,6 +14,7 @@ from skewlab import (
     InternalError,
     Matrix,
     NoPointsFound,
+    PolyMatrix,
     RangeError,
     SplitMix64,
     d_vars,
@@ -29,9 +30,11 @@ from skewlab import (
     parse_poly,
     pfaffian_poly,
     skew_linear,
+    sub_pfaffians,
     tensor_flip,
     veronese_projection,
     verify_in_image,
+    x_vars,
     y_vars,
 )
 from skewlab.randomness import (
@@ -145,6 +148,48 @@ def test_incidence_with_four_columns_tests_each_minor_by_rank(field):
     for _ in range(3):
         res = incidence_check(flipped, random_point(7, field, rng))
         assert res.rank == 4 and not res.ok and not res.minors_zero
+
+
+def test_incidence_sweep_visits_every_row_triple():
+    # at x0 = 1 the tall 6 x 3 pencil has rows e1, e2, e3 at i, j, k and zero
+    # elsewhere, so the one nonzero 3 x 3 minor is the one on rows i, j, k
+    field = GF(32003)
+    point = (1, 0, 0, 0, 0, 0)
+    for triple in itertools.combinations(range(6), 3):
+        at_x0 = [[0, 0, 0] for _ in range(6)]
+        for col, row in enumerate(triple):
+            at_x0[row][col] = 1
+        zeros = [[0, 0, 0] for _ in range(6)]
+        pencil = PolyMatrix(x_vars(6), 1, field, [at_x0] + [zeros] * 5)
+        res = incidence_check(pencil, point)
+        assert res.rank == 3
+        assert res.ok is False and res.minors_zero is False
+        assert res.n_minors == 20
+
+
+@pytest.mark.parametrize(
+    "field, n, seed, skips",
+    [(GF(32003), 13, 36, False), (GF(5), 13, 39, True), (QQ, 7, 38, False)],
+    ids=repr,
+)
+def test_parametrization_values_match_evaluate(field, n, seed, skips):
+    # a replay of the same draws through HomogPoly.evaluate gives every
+    # kept point and every skipped one; over F_5 the sub-Pfaffians have
+    # degree 6 >= 5, and this pencil's vanish together at four draws
+    pm = seeded_pencil(n, field, seed)
+    _pfs, signed = sub_pfaffians(pm)
+    pts, skipped = parametrization_points(pm, 30, SplitMix64(seed))
+    replay = SplitMix64(seed)
+    expected, vanished = [], 0
+    while len(expected) < len(pts):
+        nu = random_point(3, field, replay)
+        x = tuple(q.evaluate(nu) for q in signed)
+        if all(v == field.zero for v in x):
+            vanished += 1
+        else:
+            expected.append((nu, x))
+    assert pts == expected and skipped == vanished
+    assert (skipped > 0) == skips
 
 
 def test_parametrization_is_deterministic():

@@ -8,13 +8,15 @@ Usage, from anywhere:
 
 The manifest is fixed, and every case is a pure function of its inputs:
 
-* ``cli``: 175 CLI invocations: ``correspond`` both ways at odd
+* ``cli``: 182 CLI invocations: ``correspond`` both ways at odd
   n = 5..13 over F_32003, F_5 and F_7 and at n = 5, 7, 9 over QQ, seeds 1
-  and 2; ``project``, ``sample`` and ``random`` over several fields;
-  ``cohomology`` at every grid row 2 < m < n - 1 <= 12 and the grid
-  itself; ``ledger`` at (4, 8) and at the corners (3, 10000),
-  (4, 10000) and (9997, 10000) of its cap; three usage errors.  Each records the
-  exit code and the sha256 of stdout and of stderr.
+  and 2; ``project``, ``sample`` and ``random`` over several fields
+  (``sample`` also at odd n = 9, 11, 13 over F_32003 and F_5 and at
+  n = 9 over QQ, the odd orders the benchmark samples); ``cohomology``
+  at every grid row 2 < m < n - 1 <= 12 and the grid itself; ``ledger``
+  at (4, 8) and at the corners (3, 10000), (4, 10000) and (9997, 10000)
+  of its cap; three usage errors.  Each records the exit code and the
+  sha256 of stdout and of stderr.
 * ``fp-forms``: ``form_to_matrix`` of ``random_form(d_vars(), n - 3,
   GF(p), SplitMix64(seed))`` for p in 7, 11, 13, 17, 101 with seeds
   0..399, 0..399 and 0..99 at n = 5, 7, 9 (4,500 forms).
@@ -65,7 +67,7 @@ HILBERT_SEEDS = {"dense": 4, "sparse": 10, "binary": 4, "power": 4}
 
 
 def cli_cases() -> list[list[str]]:
-    """The 175 CLI invocations."""
+    """The 182 CLI invocations."""
     cases = []
     for field in (["--p", "32003"], ["--p", "5"], ["--p", "7"], ["--field", "q"]):
         orders = (5, 7, 9) if field[0] == "--field" else (5, 7, 9, 11, 13)
@@ -83,6 +85,11 @@ def cli_cases() -> list[list[str]]:
         for n in ("7", "6"):
             cases.append(["sample", "--m", "3", "--n", n, *field, "--seed", "1", "--trials", "3"])
     cases.append(["sample", "--m", "4", "--n", "7", "--seed", "1", "--trials", "3"])
+    # the odd orders the benchmark samples
+    for p in ("32003", "5"):
+        for n in ("9", "11", "13"):
+            cases.append(["sample", "--m", "3", "--n", n, "--p", p, "--seed", "1", "--trials", "3"])
+    cases.append(["sample", "--m", "3", "--n", "9", "--field", "q", "--seed", "1", "--trials", "3"])
     for n in range(5, 14):
         for m in range(3, n - 1):
             cases.append(["cohomology", "--m", str(m), "--n", str(n)])
