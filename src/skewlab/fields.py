@@ -11,8 +11,11 @@ The F_p elimination kernel works on ``GF``'s packed rows.  A row is one
 nonnegative int with a fixed-width field per entry, column 0 in the low
 bits; a row update adds a multiple of another row to it in one big-int
 multiply-add, without reducing, and the width (``pack_width``) leaves
-room for every update the elimination can make.  Entries are reduced
-when read (``entry``) and when unpacked.
+room for every update the elimination can make.  A finished column is
+shifted off the rows below its pivot (``drop_column``, which also clears
+it), so the kernel reads only the lowest entry (``low_entry``), and the
+rows get shorter as the elimination runs.  Entries are reduced when read
+and when unpacked.
 
 The multimodular QQ echelon form of ``linalg`` moves between QQ and ZZ here:
 ``integer_rows`` clears denominators, ``modular_field`` gives its primes
@@ -234,13 +237,25 @@ class GF(Field):
         data = packed.to_bytes(ncols * size, "little")
         return [read(data[j : j + size], "little") * scale % p for j in range(0, len(data), size)]
 
-    def entry(self, packed, c: int, w: int):
-        """Entry ``c`` of a packed row, reduced."""
-        return (packed >> c * w & (1 << w) - 1) % self.p
+    def low_entry(self, packed, w: int):
+        """The lowest entry of a packed row, reduced: only its low ``w`` bits are read."""
+        return (packed & (1 << w) - 1) % self.p
 
-    def packed_axpy(self, c, x, y):
-        """The packed row ``x + c * y``: it adds ``c mod p`` times ``y`` unreduced."""
-        return x + c % self.p * y
+    def drop_column(self, rows: list, prow, w: int) -> list:
+        """The packed ``rows`` with their lowest column cleared by ``prow`` and shifted off.
+
+        ``prow`` is the packed pivot row from its pivot column on, with a
+        unit there, or 0 for a column without a pivot.  Each row x with
+        low field l takes ``-l mod p`` times ``prow``, added unreduced, so
+        its low field becomes l + (-l mod p), a multiple of p.  Without a
+        pivot it was one already: the pivot search read every low entry
+        as zero.  That field is then shifted off, and the next column
+        becomes the lowest.  Each row still takes at most one update per
+        pivot, so ``pack_width`` bounds the low field as it bounds every
+        other, and nothing carries out of it into the kept fields.
+        """
+        p, mask = self.p, (1 << w) - 1
+        return [(x + -(x & mask) % p * prow) >> w for x in rows]
 
 
 #: The rational field, shared instance.

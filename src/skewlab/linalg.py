@@ -16,9 +16,12 @@ Matrices are dense lists of lists, and a subspace is a list of its
 basis vectors: ``kernel_basis`` and ``kernel_line`` return the kernel
 that way, and ``row_space_canonical`` the nonzero rows of the reduced
 echelon form.  Inside the kernel the field holds each row in its packed
-form (``Field.pack``): the row update is ``Field.packed_axpy``, one
-big-integer multiply-add, and ``Matrix.mul`` adds rows with
-``Field.axpy``.  Only the field reads, reduces and tells apart scalars.
+form (``GF.pack``), and one call per column (``GF.drop_column``) clears
+it below the pivot, one big-integer multiply-add per row, and shifts it
+off those rows.  So the pivot search and the update factors read only
+each row's lowest entry (``GF.low_entry``), and the rows get shorter as
+the elimination runs.  ``Matrix.mul`` adds rows with ``Field.axpy``.
+Only the field reads, reduces and tells apart scalars.
 
 Over QQ there is one elimination path, and it is multimodular.
 ``_multimodular_rref`` clears each row's denominators, runs the forward
@@ -109,10 +112,14 @@ def _forward(rows: list[list], field: Field) -> list[int]:
     Each column's pivot is the first row at or below the current one with
     a nonzero entry there.  Its row moves up, is scaled to a unit pivot
     and clears that column in the rows below it only.  The field packs
-    the rows while they are reduced, and each pivot row is unpacked once,
-    when it is scaled.  ``rows`` ends as those r unpacked rows: unit
-    pivots, zeros left of each pivot and below it; the zero rows are
-    dropped.
+    the rows while they are reduced.  When a column is done, the field
+    clears it and shifts it off every row below the pivot row in one call
+    (``drop_column``), whether it had a pivot or not, so column c is the
+    lowest entry of those rows when the pivot search reads it
+    (``low_entry``).  A pivot row is unpacked from column c on, once, and
+    its zeros left of c are put back.  ``rows`` ends as those r unpacked
+    rows: unit pivots, zeros left of each pivot and below it; the zero
+    rows are dropped.
     """
     pivots: list[int] = []
     m = len(rows)
@@ -122,26 +129,24 @@ def _forward(rows: list[list], field: Field) -> list[int]:
     w = field.pack_width(min(m, ncols))
     for i in range(m):
         rows[i] = field.pack(rows[i], w)
-    entry = field.entry
+    low, drop = field.low_entry, field.drop_column
     r = 0
     for c in range(ncols):
         for pr in range(r, m):
-            piv = entry(rows[pr], c, w)
+            piv = low(rows[pr], w)
             if piv:
                 break
         else:
+            # no pivot: the low entries of rows r on are multiples of p already
+            rows[r:] = drop(rows[r:], 0, w)
             continue
-        # rows r + 1 to pr, the swapped one included, are zero in column c
-        rows[pr], rows[r] = rows[r], field.unpack(rows[pr], ncols, w, field.inv(piv))
+        tail = field.unpack(rows[pr], ncols - c, w, field.inv(piv))
+        rows[pr], rows[r] = rows[r], [field.zero] * c + tail
         pivots.append(c)
         r += 1
         if r == m:
             break
-        prow = field.pack(rows[r - 1], w)
-        for i in range(pr + 1, m):
-            fac = entry(rows[i], c, w)
-            if fac:
-                rows[i] = field.packed_axpy(-fac, rows[i], prow)
+        rows[r:] = drop(rows[r:], field.pack(tail, w), w)
     del rows[r:]
     return pivots
 

@@ -26,6 +26,7 @@ from .errors import (
     NotSkew,
     OddOrder,
     UsageError,
+    quoted,
 )
 from .fields import Field, check_size
 from .linalg import Matrix
@@ -397,4 +398,4 @@ def poly_matrix_from_json(obj: dict) -> PolyMatrix:
         return skew_linear(pm)
     if kind == "pencil":
         return pm
-    raise FormatError(f"unknown matrix kind {kind!r}")
+    raise FormatError(f"unknown matrix kind {quoted(kind)}")

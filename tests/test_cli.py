@@ -452,6 +452,7 @@ MALFORMED_INPUTS = [
     # ended in a traceback when the message printed it
     (["correspond", "from-form"], "form", ["terms", 0, 0], "7" * 5000, "characters"),
     (["correspond", "from-matrix"], "matrix", ["entries", 0, 1], f"y0^{'9' * 4300}*y0^{'9' * 4300}", "bits"),
+    (["correspond", "from-matrix"], "matrix", ["kind"], "x" * 5000, "characters"),
 ]
 
 

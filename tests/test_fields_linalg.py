@@ -557,29 +557,43 @@ def test_packed_kernel_matches_the_list_oracle(case):
 def test_packed_fields_never_carry(monkeypatch, p):
     # A field starts below p, and each update adds (p - fac) times an entry of
     # the reduced pivot row, less than p**2, once per pivot: so it stays below
-    # p + k (p - 1)**2 for k = min(m, n), which the width must hold.
+    # p + k (p - 1)**2 for k = min(m, n), which the width must hold.  The low
+    # field is bounded the same way before it is shifted off.
     field = GF(p)
     for k in (0, 1, 2, 3, 7, 8, 12, 100, 10**4):
         assert 1 << field.pack_width(k) > p + k * (p - 1) ** 2
     widths, updates = [], []
-    real_width, real_axpy = GF.pack_width, GF.packed_axpy
+    real_width, real_drop = GF.pack_width, GF.drop_column
 
     def pack_width(self, k):
         widths.append(real_width(self, k))
         return widths[-1]
 
-    def packed_axpy(self, c, x, y):
-        w, mask = widths[-1], (1 << widths[-1]) - 1
-        updates.append(c)
-        out = real_axpy(self, c, x, y)
-        assert 0 < c % p < p
-        for j in range(out.bit_length() // w + 1):
-            fx, fy, fo = (v >> j * w & mask for v in (x, y, out))
-            assert fy < p and fo == fx + c % p * fy < 1 << w
+    def drop_column(self, rows, prow, w):
+        assert w == widths[-1]
+        mask = (1 << w) - 1
+        out = real_drop(self, rows, prow, w)
+        assert len(out) == len(rows)
+        # the pivot row starts at its unit pivot, reduced; 0 means no pivot
+        assert prow == 0 or prow & mask == 1
+        for x, o in zip(rows, out):
+            fac = (p - (x & mask) % p) % p if prow else 0
+            if fac:
+                updates.append(fac)
+            nfields = max(x.bit_length(), prow.bit_length()) // w + 1
+            for j in range(nfields):
+                fx, fy = x >> j * w & mask, prow >> j * w & mask
+                total = fx + fac * fy
+                assert fy < p and total < 1 << w
+                if j == 0:
+                    assert total % p == 0  # the dropped low field
+                else:
+                    assert o >> (j - 1) * w & mask == total
+            assert o >> (nfields - 1) * w == 0
         return out
 
     monkeypatch.setattr(GF, "pack_width", pack_width)
-    monkeypatch.setattr(GF, "packed_axpy", packed_axpy)
+    monkeypatch.setattr(GF, "drop_column", drop_column)
     # dense matrices of p - 1, and of 1 (every first update then adds
     # (p - 1) times a pivot row entry), with the diagonal shifted by one to
     # keep the rank full at every shape (p = 2 excepted)
@@ -592,8 +606,62 @@ def test_packed_fields_never_carry(monkeypatch, p):
             assert_kernel_matches_oracle(field, rows)
             if p > 3:
                 assert len(pivots) == min(nrows, ncols)
-    # every row update of the kernel went through the checked packed_axpy
+    # every row update of the kernel went through the checked drop_column
     assert updates
+
+
+def hard_layouts(field, rng):
+    """Matrices whose columns the shift must drop with care, by name."""
+    p = field.p
+
+    def dense(nrows, ncols):
+        return [[field.from_int(rng.below(p)) for _ in range(ncols)] for _ in range(nrows)]
+
+    def zero_columns(rows, cols):
+        return [[0 if j in cols else a for j, a in enumerate(row)] for row in rows]
+
+    layouts = {
+        "zero-first": zero_columns(dense(5, 6), {0, 1}),
+        "zero-middle": zero_columns(dense(5, 7), {3}),
+        "zero-last": zero_columns(dense(5, 6), {4, 5}),
+        "zero-spread": zero_columns(dense(8, 9), {0, 4, 8}),
+        "rank-0": [[0] * 4 for _ in range(3)],
+        "rank-0-row": [[0] * 5],
+        "rank-0-column": [[0] for _ in range(5)],
+        "row": dense(1, 7),
+        "row-zero-first": zero_columns(dense(1, 7), {0, 1, 2}),
+        "column": dense(6, 1),
+        "column-zero-top": [[0], [0], [0], *dense(3, 1)],
+        "single": dense(1, 1),
+        # every row is p - 1, so clearing column 0 leaves p in the rows
+        # below: column 1 has no pivot, and its low fields are nonzero
+        # multiples of p when it is shifted off
+        "dense-p-1": [[p - 1] * 6 for _ in range(5)],
+        "dense-p-1-then-free": [[p - 1] * 3 + row for row in dense(5, 4)],
+    }
+    # a rank-deficient one: every row a multiple of the first
+    first = dense(1, 6)[0]
+    layouts["multiples"] = [[field.from_int(c * a) for a in first] for c in (1, 0, 2, p - 1, 3)]
+    return layouts
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(32003), GF(2**61 - 1)], ids=repr)
+def test_forward_shift_on_hard_layouts(monkeypatch, field):
+    # multiples of p the shift dropped in a column without a pivot
+    dropped = []
+    real_drop = GF.drop_column
+
+    def drop_column(self, rows, prow, w):
+        if not prow:
+            dropped.extend(x & (1 << w) - 1 for x in rows)
+        return real_drop(self, rows, prow, w)
+
+    monkeypatch.setattr(GF, "drop_column", drop_column)
+    for rows in hard_layouts(field, SplitMix64(29)).values():
+        # pivots from the oracle, and the oracle's reduced rows from the back pass
+        assert_kernel_matches_oracle(field, rows)
+    if field.p == 3:
+        assert any(x and x % 3 == 0 for x in dropped)
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(32003), GF(2**61 - 1)], ids=repr)
@@ -605,8 +673,11 @@ def test_pack_unpack_round_trip(field):
             w = field.pack_width(k)
             packed = field.pack(row, w)
             assert field.unpack(packed, ncols, w, 1) == row
+            # each entry is the low entry once the columns left of it are shifted off
             for c in range(ncols):
-                assert field.entry(packed, c, w) == row[c]
+                assert field.low_entry(packed, w) == row[c]
+                (packed,) = field.drop_column([packed], 0, w)
+            assert packed == 0
 
 
 def test_an_fp_rank_runs_the_forward_pass_only(monkeypatch):
@@ -634,7 +705,7 @@ def test_an_fp_rank_runs_the_forward_pass_only(monkeypatch):
 
 
 def test_one_function_updates_packed_rows():
-    # one forward elimination loop: it is the one place that names packed_axpy
+    # one forward elimination loop: it is the one place that names drop_column
     pkg = os.path.dirname(skewlab.__file__)
     users = set()
     for name in sorted(os.listdir(pkg)):
@@ -644,7 +715,7 @@ def test_one_function_updates_packed_rows():
             for fn in ast.walk(tree):
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                     for node in ast.walk(fn):
-                        if getattr(node, "attr", getattr(node, "id", None)) == "packed_axpy":
+                        if getattr(node, "attr", getattr(node, "id", None)) == "drop_column":
                             users.add(f"{name[:-3]}.{getattr(fn, 'name', 'lambda')}")
     assert users == {"linalg._forward"}
 

@@ -35,11 +35,20 @@ The manifest is fixed, and every case is a pure function of its inputs:
   form, a form in one variable after a change of coordinates, seeds
   0..3).  Every characteristic at most 8 is below some k, where the
   apolarity scales can vanish.
+* ``eliminations``: ``rank``, ``kernel_basis`` and ``row_space_canonical``
+  of matrices of 0..12 rows by 0..12 columns over QQ, F_2, F_3, F_5,
+  F_32003 and F_2**61-1, seeds 0..2 (9,126 matrices), per field and
+  shape: ``dense`` (``random_scalar`` entries), ``sparse`` (each column
+  zero with chance 1/3, the others half zeros) and ``deficient`` (the
+  product of random rows x k and k x columns matrices, k below the
+  smaller side).
 
 A form records the sha256 of its pencil and certificate JSON, or the
 class and message of the genericity error it raises; a pencil records
 the sha256 of its Pfaffians, written as polynomials; a Hilbert function
-records its values, or the class and message of the error it raises.
+records its values, or the class and message of the error it raises; a
+matrix records the sha256 of its rank, kernel basis and row space, or
+the class and message of the error it raises.
 The cases run in one process on the ``src/`` of ``--tree`` (default: the
 checkout this file is in); the tallies per exit code and per outcome
 class are printed at the end.  ``--compare`` exits 1 when any case differs from the file.
@@ -64,6 +73,8 @@ QQ_FORMS = [(None, 5, 60), (None, 7, 15)]
 PFAFFIAN_PRIMES = (None, 2, 3, 5, 7, 32003)
 HILBERT_PRIMES = (None, 2, 3, 5, 7, 101)
 HILBERT_SEEDS = {"dense": 4, "sparse": 10, "binary": 4, "power": 4}
+ELIMINATION_PRIMES = (None, 2, 3, 5, 32003, 2**61 - 1)
+ELIMINATION_FILLS = ("dense", "sparse", "deficient")
 
 
 def cli_cases() -> list[list[str]]:
@@ -203,6 +214,50 @@ def run_hilbert(sk) -> dict[str, str]:
     return out
 
 
+def elimination_matrix(fill: str, nrows: int, ncols: int, field, rng, sk):
+    """One ``eliminations`` case: a ``nrows`` x ``ncols`` matrix of the given fill."""
+    from skewlab.randomness import random_scalar
+
+    def dense(r, c):
+        return sk.Matrix(field, [[random_scalar(field, rng) for _ in range(c)] for _ in range(r)], c)
+
+    if fill == "dense":
+        return dense(nrows, ncols)
+    if fill == "sparse":
+        zero = [rng.below(3) == 0 for _ in range(ncols)]
+        rows = [
+            [field.zero if z or rng.below(2) else random_scalar(field, rng) for z in zero]
+            for _ in range(nrows)
+        ]
+        return sk.Matrix(field, rows, ncols)
+    k = rng.below(min(nrows, ncols)) if nrows and ncols else 0
+    return dense(nrows, k).mul(dense(k, ncols))
+
+
+def run_eliminations(sk) -> dict[str, str]:
+    """Per matrix: the sha256 of its rank, kernel basis and canonical row space, or its error."""
+    out = {}
+    for p in ELIMINATION_PRIMES:
+        field = sk.QQ if p is None else sk.GF(p)
+        for fill in ELIMINATION_FILLS:
+            for nrows in range(13):
+                for ncols in range(13):
+                    for seed in range(3):
+                        mat = elimination_matrix(fill, nrows, ncols, field, sk.SplitMix64(seed), sk)
+                        key = f"{field!r}/{fill}/{nrows}x{ncols}/{seed}"
+                        try:
+                            doc = {
+                                "rank": sk.rank(mat),
+                                "kernel": [list(map(field.scalar_to_json, v)) for v in sk.kernel_basis(mat)],
+                                "rows": [list(map(field.scalar_to_json, v)) for v in sk.row_space_canonical(mat)],
+                            }
+                        except sk.SkewlabError as exc:
+                            out[key] = f"{type(exc).__name__}: {exc}"
+                            continue
+                        out[key] = "ok " + sha(json.dumps(doc, sort_keys=True))
+    return out
+
+
 def run_all(tree: str) -> dict[str, dict[str, str]]:
     sys.path.insert(0, os.path.join(tree, "src"))
     import skewlab as sk
@@ -214,6 +269,7 @@ def run_all(tree: str) -> dict[str, dict[str, str]]:
         "qq-forms": run_forms(QQ_FORMS, sk),
         "pfaffians": run_pfaffians(sk),
         "hilbert": run_hilbert(sk),
+        "eliminations": run_eliminations(sk),
     }
 
 
