@@ -20,7 +20,8 @@ and when unpacked.
 The multimodular QQ echelon form of ``linalg`` moves between QQ and ZZ here:
 ``integer_rows`` clears denominators, ``modular_field`` gives its primes
 between 2**60 and 2**61 (found on first use), ``crt`` combines residues and
-``rational_vector`` reconstructs rationals from them (Wang).
+``rational_vector`` reconstructs rationals from them (Wang), trying the
+denominator the earlier entries share before it runs a Euclid.
 """
 
 from __future__ import annotations
@@ -295,14 +296,34 @@ def crt(residues: list[int], m: int, vec: list[int], q: int) -> list[int]:
 
 
 def rational_vector(residues: list[int], m: int) -> list[Fraction] | None:
-    """The rationals a/b with |a|, b <= sqrt(m/2) that are ``residues`` mod m.
+    """The rationals a/b with |a|, b <= N = isqrt(m // 2) that are ``residues`` mod m.
 
-    Wang's rational reconstruction, entry by entry; ``None`` when some
-    residue has no such rational.
+    Wang's rational reconstruction; ``None`` when some residue has no such
+    rational.  m is odd, so 2 N**2 < m, and such an a/b is unique: two of
+    them, a/b and a'/b', have a b' = a' b mod m and |a b' - a' b| <= 2 N**2,
+    so a b' = a' b.
+
+    The entries of a reduced echelon form share one denominator, the
+    pivot minor, so a running denominator d, coprime to m and at most N,
+    is tried first.  When c d mod m, lifted to (-m/2, m/2], is an a with
+    |a| <= N, then a/d in lowest terms is within the bounds and is c mod
+    m, so it is the answer, for the cost of one product mod m.  Only
+    otherwise does the half-extended Euclid of m and c run (von zur Gathen
+    and Gerhard, Modern Computer Algebra, 5.10); it finds the answer or
+    shows that there is none.  Its denominator b is coprime to m, since a
+    common factor would divide the remainder too, and d, which starts at
+    1, becomes lcm(d, b) while that stays at most N.
     """
     bound = math.isqrt(m // 2)
+    d = 1
     out = []
     for c in residues:
+        a = c * d % m
+        if a > bound:
+            a -= m
+        if a >= -bound:
+            out.append(Fraction(a, d))
+            continue
         r0, r1, s0, s1 = m, c, 0, 1
         while r1 > bound:
             t = r0 // r1
@@ -310,4 +331,7 @@ def rational_vector(residues: list[int], m: int) -> list[Fraction] | None:
         if abs(s1) > bound or math.gcd(r1, s1) != 1:
             return None
         out.append(Fraction(r1, s1))
+        lcm = math.lcm(d, s1)
+        if lcm <= bound:
+            d = lcm
     return out

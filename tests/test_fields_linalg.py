@@ -1018,6 +1018,64 @@ def test_rational_reconstruction_round_trip():
     assert fields.integer_rows([[Fraction(1, 6), Fraction(-3, 4), 2], []]) == [[2, -9, 24], []]
 
 
+def entrywise_rational_vector(residues, m):
+    """Wang's reconstruction with one half-extended Euclid per entry: the oracle."""
+    bound = math.isqrt(m // 2)
+    out = []
+    for c in residues:
+        r0, r1, s0, s1 = m, c, 0, 1
+        while r1 > bound:
+            t = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - t * r1, s1, s0 - t * s1
+        if abs(s1) > bound or math.gcd(r1, s1) != 1:
+            return None
+        out.append(Fraction(r1, s1))
+    return out
+
+
+def test_the_shared_denominator_reconstructs_what_the_entrywise_euclid_does():
+    rng = SplitMix64(30)
+    primes = [fields.modular_field(i).p for i in range(4)]
+    for k in range(1, 5):
+        m = math.prod(primes[:k])
+        n = math.isqrt(m // 2)
+        residues = lambda values: [a.numerator * pow(a.denominator, -1, m) % m for a in values]
+        small = [rng.randint(2, 4 * math.isqrt(n)) for _ in range(3)]
+        # every entry within the bounds: one denominator (1, N or drawn),
+        # the bounds themselves, and denominators whose lcm passes N
+        within = [[Fraction(rng.randint(-n, n), den) for _ in range(9)] for den in (1, n, rng.randint(1, n))]
+        within += [
+            [Fraction(0), Fraction(n), Fraction(-n), Fraction(1, n), Fraction(-n, n - 1), Fraction(0, n)],
+            [Fraction(1, n), Fraction(-n, n - 1), Fraction(n - 2, n), Fraction(3, n - 1), Fraction(n)],
+            [Fraction(rng.randint(-n, n), small[rng.below(3)]) for _ in range(12)],
+            [Fraction(rng.randint(-n, n), rng.randint(1, n)) for _ in range(6)],
+        ]
+        # one entry past the bounds, just past N or with the lcm the
+        # running denominator may not take as its denominator: it has no
+        # reconstruction, or one that is another rational
+        beyond = [
+            [Fraction(n + 1)],
+            [Fraction(-n - 1)],
+            [Fraction(1, n), Fraction(n + 1, n)],
+            [Fraction(7), Fraction(-n - 1)],
+            [Fraction(1, n), Fraction(1, n - 1), Fraction(1, n * (n - 1))],
+            [Fraction(1, small[0]), Fraction(1, n), Fraction(-1, small[0] * n)],
+        ]
+        for values in within:
+            res = residues(values)
+            assert entrywise_rational_vector(res, m) == values
+            assert fields.rational_vector(res, m) == values
+        for values in beyond:
+            res = residues(values)
+            expected = entrywise_rational_vector(res, m)
+            assert expected != values
+            assert fields.rational_vector(res, m) == expected
+        assert [entrywise_rational_vector(residues(values), m) for values in beyond[:5]] == [None] * 5
+        for _ in range(20):
+            res = [rng.below(m) for _ in range(rng.below(5) + 1)]
+            assert fields.rational_vector(res, m) == entrywise_rational_vector(res, m)
+
+
 def test_modular_primes_are_found_on_first_use():
     code = (
         "import skewlab, skewlab.fields as f; assert not f._MODULAR_FIELDS; "

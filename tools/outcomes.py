@@ -42,6 +42,12 @@ The manifest is fixed, and every case is a pure function of its inputs:
   zero with chance 1/3, the others half zeros) and ``deficient`` (the
   product of random rows x k and k x columns matrices, k below the
   smaller side).
+* ``reconstructions``: the same three results for QQ products of
+  random 2..12 x k and k x 2..12 matrices, 1 <= k below the smaller
+  side, whose entries have 40-digit numerators over denominators up to
+  1000, seeds 0..5 (726 matrices).  Their echelon forms need several
+  primes, so their free columns are reconstructed from residues modulo
+  a product of primes.
 
 A form records the sha256 of its pencil and certificate JSON, or the
 class and message of the genericity error it raises; a pencil records
@@ -65,6 +71,7 @@ import json
 import os
 import sys
 from collections import Counter
+from fractions import Fraction
 
 FP_FORMS = [
     (p, n, count) for p in (7, 11, 13, 17, 101) for n, count in ((5, 400), (7, 400), (9, 100))
@@ -75,6 +82,7 @@ HILBERT_PRIMES = (None, 2, 3, 5, 7, 101)
 HILBERT_SEEDS = {"dense": 4, "sparse": 10, "binary": 4, "power": 4}
 ELIMINATION_PRIMES = (None, 2, 3, 5, 32003, 2**61 - 1)
 ELIMINATION_FILLS = ("dense", "sparse", "deficient")
+RECONSTRUCTION_SEEDS = 6
 
 
 def cli_cases() -> list[list[str]]:
@@ -234,6 +242,20 @@ def elimination_matrix(fill: str, nrows: int, ncols: int, field, rng, sk):
     return dense(nrows, k).mul(dense(k, ncols))
 
 
+def elimination_outcome(mat, sk) -> str:
+    """``"ok <sha256>"`` of the rank, kernel basis and canonical row space, or the error."""
+    field = mat.field
+    try:
+        doc = {
+            "rank": sk.rank(mat),
+            "kernel": [list(map(field.scalar_to_json, v)) for v in sk.kernel_basis(mat)],
+            "rows": [list(map(field.scalar_to_json, v)) for v in sk.row_space_canonical(mat)],
+        }
+    except sk.SkewlabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok " + sha(json.dumps(doc, sort_keys=True))
+
+
 def run_eliminations(sk) -> dict[str, str]:
     """Per matrix: the sha256 of its rank, kernel basis and canonical row space, or its error."""
     out = {}
@@ -244,17 +266,33 @@ def run_eliminations(sk) -> dict[str, str]:
                 for ncols in range(13):
                     for seed in range(3):
                         mat = elimination_matrix(fill, nrows, ncols, field, sk.SplitMix64(seed), sk)
-                        key = f"{field!r}/{fill}/{nrows}x{ncols}/{seed}"
-                        try:
-                            doc = {
-                                "rank": sk.rank(mat),
-                                "kernel": [list(map(field.scalar_to_json, v)) for v in sk.kernel_basis(mat)],
-                                "rows": [list(map(field.scalar_to_json, v)) for v in sk.row_space_canonical(mat)],
-                            }
-                        except sk.SkewlabError as exc:
-                            out[key] = f"{type(exc).__name__}: {exc}"
-                            continue
-                        out[key] = "ok " + sha(json.dumps(doc, sort_keys=True))
+                        out[f"{field!r}/{fill}/{nrows}x{ncols}/{seed}"] = elimination_outcome(mat, sk)
+    return out
+
+
+def reconstruction_matrix(nrows: int, ncols: int, rng, sk):
+    """One ``reconstructions`` case: a QQ product of rank below ``min(nrows, ncols)``.
+
+    Its factors have entries of 40-digit numerators over denominators up
+    to 1000, so its echelon form needs several primes.
+    """
+
+    def big(r, c):
+        entry = lambda: Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 1000))
+        return sk.Matrix(sk.QQ, [[entry() for _ in range(c)] for _ in range(r)], c)
+
+    k = 1 + rng.below(min(nrows, ncols) - 1)
+    return big(nrows, k).mul(big(k, ncols))
+
+
+def run_reconstructions(sk) -> dict[str, str]:
+    """Per QQ product: the sha256 of its rank, kernel basis and canonical row space, or its error."""
+    out = {}
+    for nrows in range(2, 13):
+        for ncols in range(2, 13):
+            for seed in range(RECONSTRUCTION_SEEDS):
+                mat = reconstruction_matrix(nrows, ncols, sk.SplitMix64(seed), sk)
+                out[f"{nrows}x{ncols}/{seed}"] = elimination_outcome(mat, sk)
     return out
 
 
@@ -270,6 +308,7 @@ def run_all(tree: str) -> dict[str, dict[str, str]]:
         "pfaffians": run_pfaffians(sk),
         "hilbert": run_hilbert(sk),
         "eliminations": run_eliminations(sk),
+        "reconstructions": run_reconstructions(sk),
     }
 
 
